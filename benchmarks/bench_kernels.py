@@ -1,8 +1,9 @@
 """Scalar vs. vector kernel throughput, tracked in BENCH_kernels.json.
 
 Measures the batched NumPy kernels (:mod:`repro.kernels`) against the
-scalar loops on the two hot paths — contention-attack trial blocks and
-trace replay (pwcet run batches, missrate set-parallel rounds) —
+scalar loops on the three hot paths — contention-attack trial blocks,
+trace replay (pwcet run batches, missrate set-parallel rounds) and
+the Fig. 5 engine's per-epoch cold-line warm-ups —
 building each cell exactly the way a campaign does (same specs, same
 per-trial seed hooks).  Every measured pair is also asserted
 bit-identical — a benchmark that drifted from the scalar semantics
@@ -45,10 +46,13 @@ from repro.campaigns.experiments import (
     _contention_seeder,
     _pwcet_times,
     resolve_contention_kernel,
+    resolve_engine_kernel,
     resolve_missrate_kernel,
     resolve_pwcet_kernel,
     run_missrate,
 )
+from repro.core.batch import AESTimingEngine
+from repro.core.setups import make_setup
 from benchmarks.reporting import emit
 
 DEFAULT_JSON_PATH = os.path.join(_REPO_ROOT, "BENCH_kernels.json")
@@ -83,6 +87,17 @@ REPLAYS = (
     ("pwcet", "tscache", (("analyse", False),), 48, 2.0),
     ("pwcet", "deterministic", (("analyse", False),), 48, 2.0),
     ("missrate", "random_modulo", (("workload", "reuse"),), 1, 1.0),
+)
+
+
+#: Fig. 5 cold-line epochs: the per-epoch cache warm-ups of one
+#: victim collection, scalar ``ColdLineModel.epoch_state`` loop vs one
+#: batched ``epoch_states`` call — the random-replacement setups, whose
+#: collections need one epoch per 1024-sample realisation block.
+EPOCHS = (
+    # (setup, collection samples, floor)
+    ("mbpta", 30_000, 4.0),
+    ("tscache", 30_000, 4.0),
 )
 
 
@@ -197,6 +212,33 @@ def _bench_missrate(policy, params, floor, repeats) -> dict:
                 scalar_payload.misses, scalar_s, vector_s)
 
 
+def _bench_epochs(setup, samples, floor, repeats) -> dict:
+    spec = _bench_spec("bernstein", setup, (), samples)
+    resolved = resolve_engine_kernel(spec)
+    engine = AESTimingEngine(make_setup(setup), rng=2018)
+    keys = list(dict.fromkeys(
+        epoch for _, _, epoch, _ in engine._range_blocks(
+            samples, 0, samples, "victim", 0xC0DE
+        )
+    ))
+    model = engine.cold_model
+    scalar_s, scalar_states = _time_fn(
+        lambda: [model.epoch_state(*key) for key in keys], repeats
+    )
+    vector_s, (cold, line_set) = _time_fn(
+        lambda: model.epoch_states(keys), repeats
+    )
+    for k, (ref_cold, ref_sets) in enumerate(scalar_states):
+        if not (np.array_equal(cold[k], ref_cold)
+                and np.array_equal(line_set[k], ref_sets)):
+            raise AssertionError(
+                f"bernstein-epochs/{setup}: batched epoch {keys[k]} "
+                "diverged from scalar"
+            )
+    return _row("bernstein-epochs", setup, (), len(keys), floor, resolved,
+                int(cold.sum()), scalar_s, vector_s)
+
+
 def run_benchmark(trials_scale: float = 1.0, repeats: int = 3) -> dict:
     """Measure every setup; returns the BENCH_kernels.json document."""
     rows = []
@@ -211,6 +253,9 @@ def run_benchmark(trials_scale: float = 1.0, repeats: int = 3) -> dict:
             rows.append(_bench_pwcet(label, params, runs, floor, repeats))
         else:
             rows.append(_bench_missrate(label, params, floor, repeats))
+    for setup, base_samples, floor in EPOCHS:
+        samples = max(2048, int(base_samples * trials_scale))
+        rows.append(_bench_epochs(setup, samples, floor, repeats))
     return {
         "bench": "kernels",
         "schema": 2,

@@ -59,12 +59,14 @@ from repro.cache.placement import make_placement
 from repro.cache.replacement import make_replacement
 from repro.core.batch import (
     AESTimingEngine,
+    ColdLineModel,
     EngineConfig,
     Shard,
     ShardPlan,
     ShardPolicy,
     ShardSamples,
     TimingSamples,
+    default_background,
     merge_shard_samples,
 )
 from repro.core.setups import (
@@ -150,13 +152,20 @@ def _spec_kernel(spec: ExperimentSpec) -> str:
     return kernel
 
 
-def resolve_engine_kernel(spec: ExperimentSpec) -> str:
-    """The AES timing engine is natively vectorized (NumPy batches,
-    no scalar path), so every engine-backed cell runs "vector"
-    regardless of the hint — which is still validated so ``--dry-run``
-    rejects a typo before dispatch."""
-    _spec_kernel(spec)
-    return "vector"
+def resolve_engine_kernel(spec: ExperimentSpec) -> KernelResolution:
+    """The AES timing engine's cold-line path: per-epoch encryption
+    timings are always NumPy batches, while the seed-epoch cache
+    warm-ups run batched on the vector cache kernel unless the hint is
+    "scalar" or the setup's L1 falls outside the kernel envelope (the
+    reason is recorded)."""
+    if _spec_kernel(spec) == "scalar":
+        return KernelResolution("scalar")
+    # The probe only builds the L1; the background plays no part.
+    model = ColdLineModel(resolve_setup(spec), default_background())
+    reason = model.vector_support()
+    if reason is None:
+        return KernelResolution("vector")
+    return KernelResolution("scalar", reason)
 
 
 def resolve_pwcet_kernel(spec: ExperimentSpec) -> KernelResolution:

@@ -1052,13 +1052,14 @@ def build_parser() -> argparse.ArgumentParser:
                                "--workers pool")
     campaign.add_argument("--kernel", default=None,
                           choices=("auto", "vector", "scalar"),
-                          help="trial-execution kernel for every cell: "
-                               "'auto'/'vector' run whole trial blocks "
-                               "through the batched NumPy kernels "
-                               "where the cache model supports it "
-                               "(falling back to the scalar loop "
+                          help="execution kernel for every cell: "
+                               "'auto'/'vector' run trial blocks, "
+                               "trace replays and Bernstein cold-line "
+                               "epochs through the batched NumPy "
+                               "kernels where the cache model supports "
+                               "it (falling back to the scalar loop "
                                "otherwise), 'scalar' forces the "
-                               "per-trial loop; results are "
+                               "scalar reference loops; results are "
                                "bit-identical either way — see the "
                                "kernel column of --dry-run for what "
                                "each cell resolves to")

@@ -9,6 +9,7 @@ and never participates in placement (see paper §2.1, mbpta-p2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.common.bitops import bit_length_for, extract_bits, is_power_of_two, mask
 
@@ -59,15 +60,16 @@ class AddressLayout:
                 f"offset({self.offset_bits}) + index({self.index_bits}) bits"
             )
 
-    @property
+    # Widths are computed once per layout: decode() runs per access.
+    @cached_property
     def offset_bits(self) -> int:
         return bit_length_for(self.line_size)
 
-    @property
+    @cached_property
     def index_bits(self) -> int:
         return bit_length_for(self.num_sets)
 
-    @property
+    @cached_property
     def tag_bits(self) -> int:
         return self.address_bits - self.index_bits - self.offset_bits
 

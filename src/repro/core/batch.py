@@ -5,13 +5,17 @@ accurate simulator.  Re-running a scalar simulator per encryption is
 infeasible in Python at attack scale, so this engine factors the
 computation the way the physics factors:
 
-1. **Cold-line model (scalar, per seed epoch).**  The deterministic
+1. **Cold-line model (batched, per seed epoch).**  The deterministic
    background activity (see :mod:`repro.workloads.interference`)
    evicts a *fixed* subset of the 160 AES table lines from L1 between
    encryptions — fixed given the placement policy and the seeds.  That
    subset (the "cold mask") is computed by replaying warm-up +
-   background through the *real* scalar cache models, once per seed
-   epoch.
+   background through the cache model, once per seed epoch (and per
+   replacement realisation under random replacement).  All epochs a
+   collection range needs replay at once on the vector cache kernel,
+   one lane per epoch, bit-identical to the scalar cache objects
+   (:meth:`ColdLineModel.epoch_state`, kept as the reference and as
+   the ``kernel="scalar"`` path).
 
 2. **Per-encryption timing (vectorized).**  An encryption's time is
    the fixed pipeline+hit baseline plus one L2-hit penalty per
@@ -50,11 +54,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.prng import XorShift128
 from repro.common.trace import MemoryAccess
 from repro.cache.core import (
     ARM920T_L1_GEOMETRY,
@@ -93,6 +97,35 @@ def lookup_line_ids(lookup_bytes: np.ndarray) -> np.ndarray:
         raise ValueError("lookup_bytes must have shape (N, 160)")
     table_offsets = lookup_table_ids().astype(np.int64) * 32
     return table_offsets[None, :] + (lookup_bytes.astype(np.int64) >> 3)
+
+
+#: Lookup byte -> the bit of its line within its 32-line table.
+_LINE_BIT = (
+    np.uint32(1) << (np.arange(256, dtype=np.uint32) >> np.uint32(3))
+).astype("<u4")
+
+#: Lookup positions of each of the five tables, in table order.
+_TABLE_POSITIONS = [
+    np.flatnonzero(lookup_table_ids() == table) for table in range(5)
+]
+
+
+def accessed_lines(lookup_bytes: np.ndarray) -> np.ndarray:
+    """(N, 160) bool: which table lines each encryption touches.
+
+    The scatter of :func:`lookup_line_ids` into a line matrix, built as
+    one 32-bit line mask per table (OR over the table's lookups)
+    unpacked to bools — far cheaper than a 160-wide fancy scatter.
+    """
+    if lookup_bytes.ndim != 2 or lookup_bytes.shape[1] != LOOKUPS_PER_ENCRYPTION:
+        raise ValueError("lookup_bytes must have shape (N, 160)")
+    bits = np.take(_LINE_BIT, lookup_bytes)
+    masks = np.empty((lookup_bytes.shape[0], 5), dtype="<u4")
+    for table, positions in enumerate(_TABLE_POSITIONS):
+        masks[:, table] = np.bitwise_or.reduce(bits[:, positions], axis=1)
+    return np.unpackbits(
+        masks.view(np.uint8), axis=1, bitorder="little"
+    ).view(bool)
 
 
 @dataclass
@@ -460,13 +493,21 @@ def merge_shard_samples(
     )
 
 
+#: ``(victim_seed, other_seed, include_other, replacement_seed)`` — the
+#: seed tuple one epoch state is a pure function of.
+EpochKey = Tuple[int, int, bool, int]
+
+
 class ColdLineModel:
-    """Scalar-simulated per-epoch cache state for the table region.
+    """Per-epoch cache state for the table region.
 
     For one placement configuration and seed assignment, determines
     which table lines the background activity leaves cold in L1 at the
     start of each encryption, by replaying the access pattern through
-    the real cache models.
+    the cache models.  :meth:`epoch_states` replays many seed epochs at
+    once on the vector cache kernel (:mod:`repro.kernels`), one lane
+    per epoch; :meth:`epoch_state` replays one epoch through the scalar
+    cache objects and is the bit-exact reference for the batch.
     """
 
     def __init__(
@@ -481,19 +522,15 @@ class ColdLineModel:
         self.table_base = table_base
         self.geometry = geometry
         self.layout = geometry.layout()
-        #: Epoch states are pure functions of their seed tuple, and the
-        #: engine re-requests the same tuple once per RNG block within
-        #: a realisation — memoizing turns the repeated scalar cache
-        #: replays into dictionary hits.  Entries are small (two
-        #: NUM_TABLE_LINES arrays) and epochs per cell are few, but the
-        #: memo is bounded anyway so a pathological caller cannot grow
-        #: it without limit.
-        self._epoch_memo: Dict[
-            Tuple[int, int, bool, int], Tuple[np.ndarray, np.ndarray]
-        ] = {}
-        self._interference_memo: Dict[Tuple[int, int], int] = {}
 
     # -- cache construction -------------------------------------------------
+
+    @property
+    def _random_replacement(self) -> bool:
+        return (
+            self.setup.l1_replacement == "random"
+            and self.setup.l1_policy != "rpcache"
+        )
 
     def _build_cache(self, victim_seed: int, other_seed: int,
                      replacement_seed: int = 0) -> SetAssociativeCache:
@@ -501,19 +538,13 @@ class ColdLineModel:
             # pids already select distinct permutation tables.
             return RPCache(self.geometry)
         placement = make_placement(self.setup.l1_policy, self.layout)
-        if self.setup.l1_replacement == "random":
-            replacement = make_replacement(
-                "random",
-                self.geometry.num_sets,
-                self.geometry.num_ways,
-                prng=XorShift128(replacement_seed ^ 0x5EED_BA5E),
-            )
-        else:
-            replacement = make_replacement(
-                self.setup.l1_replacement,
-                self.geometry.num_sets,
-                self.geometry.num_ways,
-            )
+        replacement = make_replacement(
+            self.setup.l1_replacement,
+            self.geometry.num_sets,
+            self.geometry.num_ways,
+        )
+        if self._random_replacement:
+            replacement.reseed(_replacement_stream_seed(replacement_seed))
         cache = SetAssociativeCache(self.geometry, placement, replacement)
         cache.set_seed(victim_seed, pid=VICTIM_PID)
         cache.set_seed(other_seed, pid=OTHER_PID)
@@ -527,6 +558,22 @@ class ColdLineModel:
 
     # -- the per-epoch state ---------------------------------------------------
 
+    def epoch_key(
+        self,
+        victim_seed: int,
+        other_seed: int,
+        include_other: bool = True,
+        replacement_seed: int = 0,
+    ) -> EpochKey:
+        """The seed tuple an epoch state depends on.
+
+        The replacement seed never reaches a deterministic cache, so
+        it is dropped there and resampled blocks share one state.
+        """
+        if self.setup.l1_replacement != "random":
+            replacement_seed = 0
+        return (victim_seed, other_seed, include_other, replacement_seed)
+
     def epoch_state(
         self,
         victim_seed: int,
@@ -534,7 +581,7 @@ class ColdLineModel:
         include_other: bool = True,
         replacement_seed: int = 0,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """(cold_mask, line_set) for one seed epoch.
+        """(cold_mask, line_set) for one seed epoch, on the scalar caches.
 
         ``cold_mask[l]`` — table line ``l`` is evicted from L1 by the
         per-interval background activity (so the next encryption pays
@@ -543,17 +590,12 @@ class ColdLineModel:
         noise model).  With random replacement, ``replacement_seed``
         selects one realisation of the eviction choices — callers
         resample it periodically to model the per-interval variation.
-        States are memoized per seed tuple; the returned arrays are
-        shared and read-only — copy before mutating.
         """
-        if self.setup.l1_replacement != "random":
-            # The replacement seed never reaches a deterministic
-            # cache, so resampled values must all hit the same entry.
-            replacement_seed = 0
-        key = (victim_seed, other_seed, include_other, replacement_seed)
-        memo = self._epoch_memo.get(key)
-        if memo is not None:
-            return memo
+        victim_seed, other_seed, include_other, replacement_seed = (
+            self.epoch_key(
+                victim_seed, other_seed, include_other, replacement_seed
+            )
+        )
         cache = self._build_cache(victim_seed, other_seed, replacement_seed)
         addresses = self._table_line_addresses()
         # Warm-up: two passes so LRU order is the table-id order.
@@ -580,13 +622,79 @@ class ColdLineModel:
             ],
             dtype=np.int64,
         )
-        # Shared across callers: freeze so a stray in-place edit
-        # cannot corrupt every later hit.
-        cold.flags.writeable = False
-        line_set.flags.writeable = False
-        if len(self._epoch_memo) < 4096:
-            self._epoch_memo[key] = (cold, line_set)
         return cold, line_set
+
+    def vector_support(self) -> Optional[str]:
+        """``None`` when :meth:`epoch_states` can batch this setup, else
+        the machine-readable reason the engine stays on the scalar path."""
+        from repro.kernels.trials import vector_cache_support
+
+        return vector_cache_support(self._build_cache(0, 0))
+
+    def epoch_states(
+        self, keys: Sequence[EpochKey]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`epoch_state` for many keys at once, bit for bit.
+
+        Returns ``(cold, line_set)``, both ``(len(keys), 160)``; row
+        ``k`` belongs to ``keys[k]`` (as built by :meth:`epoch_key`).
+        Each key is one lane of a vector cache batch with its own
+        placement seeds and — under random replacement — its own
+        xorshift draw stream.  Every lane replays the same trace as the
+        scalar reference (table warm-up twice, own-process background,
+        then other-process background for lanes with
+        ``include_other``), mapped to sets up front.
+        """
+        from repro.kernels.trials import make_vector_batch
+
+        lanes = len(keys)
+        seeds = (
+            [_replacement_stream_seed(key[3]) for key in keys]
+            if self._random_replacement
+            else None
+        )
+        batch = make_vector_batch(
+            self._build_cache(0, 0), lanes, replacement_seeds=seeds
+        )
+        if batch is None:
+            raise ValueError(
+                f"setup {self.setup.name!r} is outside the vector "
+                f"envelope: {self.vector_support()}"
+            )
+        for lane, (victim_seed, other_seed, _, _) in enumerate(keys):
+            batch.set_seed(lane, victim_seed, pid=VICTIM_PID)
+            batch.set_seed(lane, other_seed, pid=OTHER_PID)
+        include_other = np.array([key[2] for key in keys], dtype=bool)
+
+        table = self._table_line_addresses()
+        own = self.background.same_process_trace(VICTIM_PID)
+        other = self.background.other_process_trace(OTHER_PID)
+        victim_steps = 2 * len(table) + len(own)
+        addresses = np.array(
+            table * 2 + [a.address for a in own] + [a.address for a in other],
+            dtype=np.int64,
+        )
+        sets = np.concatenate(
+            [
+                batch.map_sets(addresses[:victim_steps], VICTIM_PID),
+                batch.map_sets(addresses[victim_steps:], OTHER_PID),
+            ],
+            axis=1,
+        )
+        lines = addresses & ~np.int64(self.layout.line_size - 1)
+        for step in range(victim_steps):
+            batch._access_mapped(
+                np.full(lanes, lines[step]), sets[:, step], VICTIM_PID
+            )
+        if include_other.any():
+            active = None if include_other.all() else include_other
+            for step in range(victim_steps, len(addresses)):
+                batch._access_mapped(
+                    np.full(lanes, lines[step]), sets[:, step], OTHER_PID,
+                    active,
+                )
+        hits, line_set = batch.probe_many(table, VICTIM_PID)
+        return ~hits, line_set
 
     def estimate_interference_events(self, victim_seed: int,
                                      other_seed: int) -> int:
@@ -598,10 +706,6 @@ class ColdLineModel:
         """
         if self.setup.l1_policy != "rpcache":
             return 0
-        key = (victim_seed, other_seed)
-        cached = self._interference_memo.get(key)
-        if cached is not None:
-            return cached
         cache = self._build_cache(victim_seed, other_seed)
         assert isinstance(cache, RPCache)
         addresses = self._table_line_addresses()
@@ -614,10 +718,12 @@ class ColdLineModel:
                 cache.access(access)
             for access in self.background.other_process_trace(OTHER_PID):
                 cache.access(access)
-        events = cache.randomized_evictions - before
-        if len(self._interference_memo) < 4096:
-            self._interference_memo[key] = events
-        return events
+        return cache.randomized_evictions - before
+
+
+def _replacement_stream_seed(replacement_seed: int) -> int:
+    """Seed of one realisation's random-replacement draw stream."""
+    return replacement_seed ^ 0x5EED_BA5E
 
 
 @dataclass
@@ -641,13 +747,13 @@ class EngineConfig:
     #: natural epoch/realisation boundaries, at slightly more stream
     #: setup overhead.
     shard_block: int = 1024
-    #: Execution-kernel selection ("auto"/"vector"/"scalar"), the
-    #: campaign layer's uniform seam (see
-    #: :data:`repro.attack.trials.KERNEL_CHOICES`).  This engine is
-    #: natively vectorized — it has no scalar path to select — so the
-    #: field never changes its behaviour or results; it exists so one
-    #: ``--kernel`` choice threads through every experiment kind and
-    #: ``--dry-run`` can report what each cell resolves it to.
+    #: Cold-line kernel ("auto"/"vector"/"scalar"), the campaign
+    #: layer's uniform seam (see
+    #: :data:`repro.attack.trials.KERNEL_CHOICES`).  "scalar" runs the
+    #: reference :meth:`ColdLineModel.epoch_state` loop; "auto" and
+    #: "vector" batch every epoch of a collection range on the vector
+    #: cache kernel, falling back to scalar for setups outside its
+    #: envelope.  Results are bit-identical either way.
     kernel: str = "auto"
 
     def __post_init__(self) -> None:
@@ -855,29 +961,47 @@ class AESTimingEngine:
             total_samples=num_samples,
         )
 
-    def _collect_range(
+    @cached_property
+    def kernel(self) -> str:
+        """The cold-line path :meth:`collect` runs: ``"vector"`` (batched
+        :meth:`ColdLineModel.epoch_states`) or ``"scalar"`` (the
+        reference :meth:`ColdLineModel.epoch_state` loop)."""
+        vector = (
+            self.config.kernel != "scalar"
+            and self.cold_model.vector_support() is None
+        )
+        return "vector" if vector else "scalar"
+
+    def _epoch_states(
+        self, keys: Sequence[EpochKey]
+    ) -> Dict[EpochKey, Tuple[np.ndarray, np.ndarray]]:
+        """Every distinct key's ``(cold_mask, line_set)``."""
+        keys = list(dict.fromkeys(keys))
+        if self.kernel == "scalar":
+            return {key: self.cold_model.epoch_state(*key) for key in keys}
+        cold, line_set = self.cold_model.epoch_states(keys)
+        return {key: (cold[k], line_set[k]) for k, key in enumerate(keys)}
+
+    def _range_blocks(
         self,
-        key: bytes,
         num_samples: int,
         lo: int,
         hi: int,
         party: str,
         campaign_seed: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(plaintexts, timings) for samples ``[lo, hi)`` of the budget."""
-        aes = AES128(key)
-        plaintexts = np.empty((hi - lo, 16), dtype=np.uint8)
-        timings = np.empty(hi - lo, dtype=float)
+    ) -> List[Tuple[int, int, EpochKey, int]]:
+        """``(start, end, epoch key, interference events)`` of every
+        cold-state realisation block overlapping samples ``[lo, hi)``."""
         randomized_replacement = self.setup.l1_replacement == "random"
         party_salt = 0 if party == "victim" else 0xA77A
-        chunk = self.config.rng_block
+        include_other = not self.setup.randomize_other_process
+        blocks = []
         for start, end, victim_seed in self._seed_plan(
             num_samples, party, campaign_seed
         ):
             if end <= lo or start >= hi:
                 continue
             other_seed = victim_seed ^ 0x7E57_0123  # OS runs under its own seed
-            include_other = not self.setup.randomize_other_process
             events = self.cold_model.estimate_interference_events(
                 victim_seed, other_seed
             )
@@ -894,35 +1018,57 @@ class AESTimingEngine:
                 block_end = min(block_start + block_len, end)
                 if block_end <= lo or block_start >= hi:
                     continue
-                cold, line_set = self.cold_model.epoch_state(
+                key = self.cold_model.epoch_key(
                     victim_seed,
                     other_seed,
                     include_other=include_other,
                     replacement_seed=block_start ^ party_salt,
                 )
-                # RNG blocks: split the realisation at absolute
-                # rng_block multiples.  Each owns a child stream keyed
-                # by its start position, so output never depends on
-                # which shard computes it.
-                rng_start = block_start
-                while rng_start < block_end:
-                    rng_end = min(block_end, (rng_start // chunk + 1) * chunk)
-                    if rng_end > lo and rng_start < hi:
-                        block_rng = self._block_rng(
-                            party, campaign_seed, rng_start
-                        )
-                        block = block_rng.integers(
-                            0, 256,
-                            size=(rng_end - rng_start, 16),
-                            dtype=np.uint8,
-                        )
-                        _, lookup_bytes = aes.encrypt_batch(block)
-                        out = slice(rng_start - lo, rng_end - lo)
-                        plaintexts[out] = block
-                        timings[out] = self._chunk_timings(
-                            lookup_bytes, cold, line_set, events, block_rng
-                        )
-                    rng_start = rng_end
+                blocks.append((block_start, block_end, key, events))
+        return blocks
+
+    def _collect_range(
+        self,
+        key: bytes,
+        num_samples: int,
+        lo: int,
+        hi: int,
+        party: str,
+        campaign_seed: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """(plaintexts, timings) for samples ``[lo, hi)`` of the budget."""
+        aes = AES128(key)
+        plaintexts = np.empty((hi - lo, 16), dtype=np.uint8)
+        timings = np.empty(hi - lo, dtype=float)
+        chunk = self.config.rng_block
+        blocks = self._range_blocks(num_samples, lo, hi, party, campaign_seed)
+        # Every distinct epoch state of the range, computed in one go.
+        states = self._epoch_states([epoch for _, _, epoch, _ in blocks])
+        for block_start, block_end, epoch, events in blocks:
+            cold, line_set = states[epoch]
+            # RNG blocks: split the realisation at absolute
+            # rng_block multiples.  Each owns a child stream keyed
+            # by its start position, so output never depends on
+            # which shard computes it.
+            rng_start = block_start
+            while rng_start < block_end:
+                rng_end = min(block_end, (rng_start // chunk + 1) * chunk)
+                if rng_end > lo and rng_start < hi:
+                    block_rng = self._block_rng(
+                        party, campaign_seed, rng_start
+                    )
+                    block = block_rng.integers(
+                        0, 256,
+                        size=(rng_end - rng_start, 16),
+                        dtype=np.uint8,
+                    )
+                    _, lookup_bytes = aes.encrypt_batch(block)
+                    out = slice(rng_start - lo, rng_end - lo)
+                    plaintexts[out] = block
+                    timings[out] = self._chunk_timings(
+                        lookup_bytes, cold, line_set, events, block_rng
+                    )
+                rng_start = rng_end
         return plaintexts, timings
 
     # -- timing math ----------------------------------------------------------------
@@ -935,11 +1081,8 @@ class AESTimingEngine:
         interference_events: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        lines = lookup_line_ids(lookup_bytes)
-        n = lines.shape[0]
-        accessed = np.zeros((n, NUM_TABLE_LINES), dtype=bool)
-        accessed[np.arange(n)[:, None], lines] = True
-        cold_hits = (accessed & cold_mask[None, :]).sum(axis=1)
+        accessed = accessed_lines(lookup_bytes)
+        cold_hits = np.count_nonzero(accessed[:, cold_mask], axis=1)
         timings = self.config.base_cycles + self.config.miss_penalty * cold_hits
         if interference_events > 0:
             timings = timings + self._interference_noise(

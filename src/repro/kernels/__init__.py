@@ -11,8 +11,8 @@ of a block as arrays of cache state:
   permutation tables), bit-identical to ``map_set``.
 * :mod:`repro.kernels.replacement` — vectorized replacement engines
   (LRU, FIFO, NRU, tree-PLRU, random with draw-sequencing parity via a
-  shared fixed-stream table or a counter-based stream) over
-  ``(elements, sets, ways)`` state.
+  shared fixed-stream table, a private xorshift128 stream per element,
+  or a counter-based stream) over ``(elements, sets, ways)`` state.
 * :mod:`repro.kernels.cache` — :class:`VectorCacheBatch`, ``T``
   independent set-associative caches as ``(T, sets, ways)`` matrices
   with batched probe and pluggable victim selection, plus
@@ -24,6 +24,13 @@ of a block as arrays of cache state:
 * :mod:`repro.kernels.replay` — batched trace replay: run-parallel
   two-level hierarchies for pwcet cells, set-parallel single-cache
   rounds for missrate cells.
+
+The Fig. 5 timing engine's cold-line model
+(:meth:`repro.core.batch.ColdLineModel.epoch_states`) is a client of
+the cache batch: it replays every seed epoch of a collection range as
+one lane, with per-lane placement seeds and — under random
+replacement — per-lane xorshift128 draw streams
+(:class:`~repro.kernels.replacement.VectorXorShiftRandom`).
 
 Everything a kernel cannot reproduce exactly — an externally-owned
 replacement PRNG, protected ranges, globally-sequenced draws under
@@ -42,6 +49,7 @@ from repro.kernels.placement import (
 )
 from repro.kernels.replacement import (
     VectorReplacement,
+    VectorXorShiftRandom,
     replacement_support,
     vector_replacement,
     vector_replacement_by_name,
@@ -66,6 +74,7 @@ __all__ = [
     "VectorPlacement",
     "VectorReplacement",
     "VectorRPCacheBatch",
+    "VectorXorShiftRandom",
     "hash64_vec",
     "hierarchy_support",
     "make_vector_batch",

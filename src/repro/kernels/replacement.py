@@ -23,6 +23,10 @@ step, hits and fills are disjoint):
   :class:`FixedDrawTable` and gives each element its own draw counter:
   element ``e``'s ``k``-th conflict miss reads table entry ``k`` —
   exactly the draw its scalar cache would have made.
+* :class:`VectorXorShiftRandom` — one private xorshift128 stream per
+  element (``(E, 4)`` uint32 state), for batches whose scalar caches
+  are each reseeded to their own seed; seeded through the vector
+  SplitMix64 exactly like ``XorShift128.reseed``.
 * :class:`VectorCounterRandom` — the counter-based mode
   (``RandomReplacement(draws=CounterStream(key))``): draw ``k`` is a
   pure function of ``(key, k)``, so no table is needed at all.
@@ -48,6 +52,7 @@ from repro.cache.replacement import (
     ReplacementPolicy,
     TreePLRUReplacement,
 )
+from repro.common.bitops import mask
 from repro.common.prng import XorShift128
 from repro.kernels.placement import U64, _SPLITMIX_GAMMA, splitmix64_step_vec
 
@@ -243,6 +248,71 @@ class VectorRandom(VectorReplacement):
         idx = self._counters[rows]
         self._counters[rows] = idx + 1
         return self._table.take(idx)
+
+
+_M64 = mask(64)
+
+
+def _xorshift128_states(seeds) -> np.ndarray:
+    """``(E, 4)`` uint32 xorshift128 states, one per seed.
+
+    The vector form of :meth:`repro.common.prng.XorShift128.reseed`:
+    four SplitMix64 outputs truncated to 32 bits, with the all-zero
+    state patched to ``(1, 0, 0, 0)``.
+    """
+    state = np.fromiter((int(s) & _M64 for s in seeds), dtype=np.uint64)
+    words = np.empty((state.shape[0], 4), dtype=np.uint32)
+    for i in range(4):
+        state, out = splitmix64_step_vec(state)
+        words[:, i] = (out & U64(0xFFFF_FFFF)).astype(np.uint32)
+    words[~words.any(axis=1), 0] = 1
+    return words
+
+
+class VectorXorShiftRandom(VectorReplacement):
+    """Random replacement with a private xorshift128 stream per element.
+
+    The vector twin of ``E`` scalar :class:`RandomReplacement` policies
+    each reseeded to its own seed (``policy.reseed(seeds[e])``): element
+    ``e``'s ``k``-th conflict miss draws the ``k``-th
+    ``XorShift128(seeds[e]).next_below(num_ways)``.  Unlike
+    :class:`VectorRandom`, nothing is shared — every element steps its
+    own ``(4,)`` uint32 state, and only the rows that draw advance.
+    """
+
+    def __init__(self, num_elements: int, num_sets: int, num_ways: int,
+                 seeds) -> None:
+        super().__init__(num_elements, num_sets, num_ways)
+        self._state = _xorshift128_states(seeds)
+        if self._state.shape[0] != num_elements:
+            raise ValueError("need exactly one seed per element")
+        self._width = (num_ways - 1).bit_length() or 1
+
+    def next_u32(self, rows) -> np.ndarray:
+        """One ``XorShift128.next_u32`` step for each of ``rows``."""
+        x, y, z, w = self._state[rows].T
+        t = x ^ (x << np.uint32(11))
+        w_new = (w ^ (w >> np.uint32(19))) ^ (t ^ (t >> np.uint32(8)))
+        self._state[rows] = np.stack([y, z, w, w_new], axis=1)
+        return w_new
+
+    def touch_hits(self, rows, sets, ways) -> None:
+        pass
+
+    def touch_fills(self, rows, sets, ways) -> None:
+        pass
+
+    def victim_ways(self, rows, sets) -> np.ndarray:
+        # next_below: draw width bits, redraw the rows that overshoot
+        # (never, for power-of-two way counts).
+        rows = np.asarray(rows)
+        shift = np.uint32(32 - self._width)
+        ways = (self.next_u32(rows) >> shift).astype(np.int64)
+        redraw = ways >= self.num_ways
+        while redraw.any():
+            ways[redraw] = self.next_u32(rows[redraw]) >> shift
+            redraw = ways >= self.num_ways
+        return ways
 
 
 class VectorCounterRandom(VectorReplacement):

@@ -34,11 +34,15 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.cache.core import SetAssociativeCache
-from repro.cache.replacement import LRUReplacement
+from repro.cache.replacement import LRUReplacement, RandomReplacement
 from repro.cache.rpcache import RPCache
 from repro.kernels.cache import VectorCacheBatch, VectorRPCacheBatch
 from repro.kernels.placement import vector_placement
-from repro.kernels.replacement import replacement_support, vector_replacement
+from repro.kernels.replacement import (
+    VectorXorShiftRandom,
+    replacement_support,
+    vector_replacement,
+)
 
 
 def vector_cache_support(cache) -> Optional[str]:
@@ -78,25 +82,42 @@ def supports_vector_cache(cache) -> bool:
     return vector_cache_support(cache) is None
 
 
-def make_vector_batch(cache, num_elements: int) -> Optional[VectorCacheBatch]:
+def make_vector_batch(
+    cache, num_elements: int, replacement_seeds=None
+) -> Optional[VectorCacheBatch]:
     """A seeded batch reproducing ``num_elements`` copies of ``cache``.
 
     ``cache`` must be factory-fresh (the batch starts empty); returns
-    None when it falls outside the vector envelope.
+    None when it falls outside the vector envelope.  With
+    ``replacement_seeds`` (one per element), element ``e`` instead
+    reproduces the copy whose xorshift random replacement was
+    ``reseed(replacement_seeds[e])`` — a private draw stream per
+    element.
     """
     if vector_cache_support(cache) is not None:
         return None
+    replacement = cache.replacement
+    if replacement_seeds is not None and not (
+        type(replacement) is RandomReplacement
+        and replacement.stream_descriptor()[0] == "xorshift"
+    ):
+        raise ValueError("replacement_seeds needs xorshift random replacement")
     adapter = vector_placement(cache.placement)
     if type(cache) is RPCache:
         batch: VectorCacheBatch = VectorRPCacheBatch(
             cache.geometry, adapter, num_elements, cache.interference_seed
         )
     else:
+        engine = (
+            vector_replacement(replacement, num_elements)
+            if replacement_seeds is None
+            else VectorXorShiftRandom(
+                num_elements, replacement.num_sets, replacement.num_ways,
+                replacement_seeds,
+            )
+        )
         batch = VectorCacheBatch(
-            cache.geometry,
-            adapter,
-            num_elements,
-            replacement=vector_replacement(cache.replacement, num_elements),
+            cache.geometry, adapter, num_elements, replacement=engine
         )
     batch.init_seeds(cache.seeds)
     return batch

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from repro.cache.core import ARM920T_L1_GEOMETRY
+from repro.campaigns import ExperimentSpec
+from repro.campaigns.experiments import resolve_engine_kernel
+from repro.campaigns.registry import KernelResolution
 from repro.common.trace import MemoryAccess
 from repro.core.batch import (
     NUM_TABLE_LINES,
@@ -13,10 +16,11 @@ from repro.core.batch import (
     AESTimingEngine,
     ColdLineModel,
     EngineConfig,
+    accessed_lines,
     default_background,
     lookup_line_ids,
 )
-from repro.core.setups import make_setup
+from repro.core.setups import SETUP_NAMES, make_setup
 from repro.crypto.aes import AES128, DEFAULT_TABLE_BASE
 
 
@@ -38,6 +42,18 @@ class TestLookupLineIds:
     def test_shape_validated(self):
         with pytest.raises(ValueError):
             lookup_line_ids(np.zeros((4, 100), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            accessed_lines(np.zeros((4, 100), dtype=np.uint8))
+
+    def test_accessed_lines_is_the_line_id_scatter(self):
+        rng = np.random.default_rng(1)
+        lookup_bytes = rng.integers(0, 256, size=(300, 160), dtype=np.uint8)
+        lines = lookup_line_ids(lookup_bytes)
+        expected = np.zeros((300, NUM_TABLE_LINES), dtype=bool)
+        expected[np.arange(300)[:, None], lines] = True
+        accessed = accessed_lines(lookup_bytes)
+        assert accessed.dtype == bool
+        assert np.array_equal(accessed, expected)
 
 
 class TestColdLineModel:
@@ -86,6 +102,117 @@ class TestColdLineModel:
         assert det.estimate_interference_events(1, 2) == 0
         rp = ColdLineModel(make_setup("rpcache"), background)
         assert rp.estimate_interference_events(1, 2) > 0
+
+
+class TestBatchedEpochStates:
+    """The batched cold-line model against the scalar reference."""
+
+    @pytest.mark.parametrize("setup_name", SETUP_NAMES)
+    def test_batch_equals_scalar_epoch_state(self, setup_name):
+        """56 random seed tuples per setup, include_other both ways,
+        in one batch: every lane equals its scalar ``epoch_state``."""
+        model = ColdLineModel(make_setup(setup_name), default_background())
+        rng = np.random.default_rng(sum(map(ord, setup_name)))
+        keys = [
+            model.epoch_key(
+                int(rng.integers(0, 1 << 32)),
+                int(rng.integers(0, 1 << 32)),
+                include_other=bool(i % 2),
+                replacement_seed=int(rng.integers(0, 1 << 32)),
+            )
+            for i in range(56)
+        ]
+        cold, line_set = model.epoch_states(keys)
+        assert cold.shape == line_set.shape == (len(keys), NUM_TABLE_LINES)
+        for k, key in enumerate(keys):
+            ref_cold, ref_sets = model.epoch_state(*key)
+            assert np.array_equal(cold[k], ref_cold), key
+            assert np.array_equal(line_set[k], ref_sets), key
+            assert line_set[k].dtype == ref_sets.dtype
+        # The comparison must cover warm and cold lines alike.
+        assert cold.any() and not cold.all()
+
+    def test_random_replacement_draws_differ_per_lane(self):
+        """Lanes with the same placement seeds but different
+        replacement seeds take their own eviction choices."""
+        model = ColdLineModel(make_setup("mbpta"), default_background())
+        keys = [model.epoch_key(5, 6, True, r) for r in range(16)]
+        cold, _ = model.epoch_states(keys)
+        assert len({row.tobytes() for row in cold}) > 1
+
+    def test_deterministic_replacement_seed_is_dropped(self):
+        model = ColdLineModel(make_setup("deterministic"),
+                              default_background())
+        assert model.epoch_key(1, 2, True, 77) == (1, 2, True, 0)
+        mbpta = ColdLineModel(make_setup("mbpta"), default_background())
+        assert mbpta.epoch_key(1, 2, True, 77) == (1, 2, True, 77)
+
+    @pytest.mark.parametrize("setup_name", SETUP_NAMES)
+    def test_every_setup_is_inside_the_envelope(self, setup_name):
+        model = ColdLineModel(make_setup(setup_name), default_background())
+        assert model.vector_support() is None
+
+
+class TestEngineKernel:
+    """``EngineConfig.kernel`` selects the cold-line path; results are
+    bit-identical either way."""
+
+    @pytest.mark.parametrize("setup_name", SETUP_NAMES)
+    def test_scalar_and_vector_collect_identical(self, setup_name):
+        collected = {}
+        for kernel in ("scalar", "vector"):
+            engine = AESTimingEngine(
+                make_setup(setup_name), config=EngineConfig(kernel=kernel),
+                rng=11,
+            )
+            assert engine.kernel == kernel
+            collected[kernel] = engine.collect(
+                bytes(range(16)), 3000, party="attacker", campaign_seed=9
+            )
+        assert (collected["scalar"].timings.tobytes()
+                == collected["vector"].timings.tobytes())
+        assert np.array_equal(collected["scalar"].plaintexts,
+                              collected["vector"].plaintexts)
+
+    def _count_epoch_state_calls(self, monkeypatch, kernel):
+        calls = []
+        original = ColdLineModel.epoch_state
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ColdLineModel, "epoch_state", counting)
+        engine = AESTimingEngine(make_setup("tscache"),
+                                 config=EngineConfig(kernel=kernel), rng=3)
+        engine.collect(bytes(16), 4096)
+        return len(calls)
+
+    def test_scalar_kernel_runs_the_reference_loop(self, monkeypatch):
+        assert self._count_epoch_state_calls(monkeypatch, "scalar") == 4
+
+    def test_vector_kernel_never_calls_epoch_state(self, monkeypatch):
+        assert self._count_epoch_state_calls(monkeypatch, "auto") == 0
+
+    def test_out_of_envelope_setup_falls_back_to_scalar(self, monkeypatch):
+        monkeypatch.setattr(ColdLineModel, "vector_support",
+                            lambda self: "placement:custom-unsupported")
+        engine = AESTimingEngine(make_setup("mbpta"),
+                                 config=EngineConfig(kernel="vector"))
+        assert engine.kernel == "scalar"
+        spec = ExperimentSpec(kind="bernstein", setup="mbpta",
+                              num_samples=1024, seed=1)
+        assert resolve_engine_kernel(spec) == KernelResolution(
+            "scalar", "placement:custom-unsupported"
+        )
+
+    def test_resolve_engine_kernel_reports_the_path_that_runs(self):
+        spec = ExperimentSpec(kind="bernstein", setup="tscache",
+                              num_samples=1024, seed=1)
+        assert resolve_engine_kernel(spec) == KernelResolution("vector")
+        assert resolve_engine_kernel(
+            spec.with_params(kernel="scalar")
+        ) == KernelResolution("scalar")
 
 
 class TestEngineTimings:

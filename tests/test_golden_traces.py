@@ -32,7 +32,12 @@ import numpy as np
 import pytest
 
 from repro.campaigns import CampaignRunner, ExperimentSpec, bernstein_grid
-from repro.core.batch import AESTimingEngine, ShardPolicy, merge_shard_samples
+from repro.core.batch import (
+    AESTimingEngine,
+    EngineConfig,
+    ShardPolicy,
+    merge_shard_samples,
+)
 from repro.core.setups import SETUP_NAMES, make_setup
 
 #: Worker count for the campaign-path goldens (CI sets 2 to exercise
@@ -57,12 +62,14 @@ GOLDEN_SHARD_POLICY = os.environ.get("REPRO_GOLDEN_SHARD_POLICY", "even")
 GOLDEN_ELASTIC = os.environ.get("REPRO_GOLDEN_ELASTIC", "") == "1"
 
 #: With REPRO_GOLDEN_KERNEL set ("vector"/"scalar"/"auto"), every
-#: contention cell runs under that trial-execution kernel — CI's
+#: golden cell and engine runs under that execution kernel — CI's
 #: vector pass is the acceptance proof that the batched NumPy kernels
-#: (:mod:`repro.kernels`) reproduce the frozen trial outcomes bit for
-#: bit on every backend and shard geometry.  The kernel is an
-#: execution hint: spec hashes and seed streams are unchanged, so the
-#: frozen GOLDEN_CONTENTION values apply verbatim.
+#: (:mod:`repro.kernels`) reproduce the frozen trial outcomes, replay
+#: counters and Fig. 5 timing digests bit for bit on every backend and
+#: shard geometry, and the scalar pass checks the reference paths
+#: against the same values.  The kernel is an execution hint: spec
+#: hashes and seed streams are unchanged, so the frozen values apply
+#: verbatim.
 GOLDEN_KERNEL = os.environ.get("REPRO_GOLDEN_KERNEL", "")
 
 #: With REPRO_GOLDEN_TELEMETRY=1 every golden campaign run journals
@@ -362,7 +369,11 @@ def sample_digest(samples) -> str:
 
 
 def golden_engine(setup_name: str) -> AESTimingEngine:
-    return AESTimingEngine(make_setup(setup_name), rng=GOLDEN_ENGINE_SEED)
+    return AESTimingEngine(
+        make_setup(setup_name),
+        config=EngineConfig(kernel=GOLDEN_KERNEL or "auto"),
+        rng=GOLDEN_ENGINE_SEED,
+    )
 
 
 class TestSerialGoldens:
@@ -426,7 +437,9 @@ class TestCampaignGoldens:
 
     @pytest.fixture(scope="class")
     def specs(self):
-        return bernstein_grid(num_samples=12_288, seed=2018)
+        return _apply_golden_kernel(
+            bernstein_grid(num_samples=12_288, seed=2018)
+        )
 
     @pytest.fixture(scope="class")
     def serial(self, specs):

@@ -15,7 +15,8 @@ shrink-free generators, as in ``test_cache_properties.py``):
   per-trial ``seed_victim`` hook, and independently of how a block is
   tiled;
 * every vectorized replacement engine (LRU, FIFO, NRU, tree-PLRU,
-  random in both fixed-stream and counter-stream modes) and the
+  random in fixed-stream, per-lane xorshift and counter-stream
+  modes) and the
   RPCache batch (permutation placement + interference redirection)
   replay conflict-heavy traces bit-identically to banks of scalar
   caches;
@@ -51,6 +52,7 @@ from repro.common.prng import CounterStream, XorShift128, counter_key
 from repro.common.trace import MemoryAccess
 from repro.kernels import (
     VectorCacheBatch,
+    VectorXorShiftRandom,
     make_vector_batch,
     supports_vector_cache,
     vector_cache_support,
@@ -178,17 +180,24 @@ class TestVectorCacheEquivalence:
                 )
 
 
-def replay_trace_check(factory, num_trials=6, steps=200, seed_parts=()):
+def replay_trace_check(factory, num_trials=6, steps=200, seed_parts=(),
+                       replacement_seeds=None):
     """Replay a conflict-heavy random trace through ``num_trials``
     scalar caches and the matched vector batch; assert every hit bit
-    and the final resident lines agree.  Returns the scalar caches so
-    callers can assert the interesting path (draws, redirects) was
-    actually exercised."""
+    and the final resident lines agree.  With ``replacement_seeds``,
+    scalar cache ``t`` has its replacement reseeded to the ``t``-th
+    seed (and the batch gets one private stream per trial).  Returns
+    the scalar caches so callers can assert the interesting path
+    (draws, redirects) was actually exercised."""
     template = factory()
     geometry = template.geometry
-    batch = make_vector_batch(factory(), num_trials)
+    batch = make_vector_batch(factory(), num_trials,
+                              replacement_seeds=replacement_seeds)
     assert batch is not None
     scalars = [factory() for _ in range(num_trials)]
+    if replacement_seeds is not None:
+        for cache, seed in zip(scalars, replacement_seeds):
+            cache.replacement.reseed(seed)
     rng = random.Random(stable_seed("replay", *seed_parts))
     # ~2x capacity so conflict misses (the draw-consuming path) occur.
     pool = [rng.getrandbits(22) * geometry.line_size
@@ -267,6 +276,55 @@ class TestReplacementEquivalence:
         replayed = [stream.draw(k, 4) for k in range(64)]
         assert replayed == [stream.draw(k, 4) for k in range(64)]
         assert len(set(replayed)) > 1
+
+    def test_per_lane_xorshift_matches_scalar_next_below(self):
+        """Each element's private stream is ``XorShift128(seed)``:
+        >1000 ``next_below`` draws over random seeds (0 and 2^64-1
+        included), drawn by random row subsets as conflict misses
+        would, for a power-of-two and a rejection-sampled bound."""
+        rng = random.Random(stable_seed("xorshift-lanes"))
+        seeds = [0, 2**64 - 1, 1, 0x5EED_BA5E] + [
+            rng.getrandbits(64) for _ in range(28)
+        ]
+        for ways in (4, 3):
+            engine = VectorXorShiftRandom(len(seeds), 1, ways, seeds)
+            scalars = [XorShift128(seed) for seed in seeds]
+            draws = 0
+            for _ in range(80):
+                rows = np.array(
+                    [e for e in range(len(seeds)) if rng.random() < 0.7],
+                    dtype=np.int64,
+                )
+                got = engine.victim_ways(rows, np.zeros_like(rows))
+                assert got.tolist() == [
+                    scalars[e].next_below(ways) for e in rows
+                ]
+                draws += len(rows)
+            assert draws >= 1000
+
+    def test_per_lane_random_trace_replay_bit_identical(self):
+        """Caches whose random replacement was reseeded one by one
+        replay bit-identically through a batch with per-lane streams."""
+        geometry = GEOMETRIES[0]
+
+        def factory():
+            return SetAssociativeCache(
+                geometry,
+                make_placement("random_modulo", geometry.layout()),
+                make_replacement("random", geometry.num_sets,
+                                 geometry.num_ways),
+            )
+
+        scalars = replay_trace_check(
+            factory, seed_parts=("per-lane",),
+            replacement_seeds=[0, 2**64 - 1, 7, 0x5EED_BA5E, 12345, 99],
+        )
+        assert all(c.replacement.draws_consumed > 0 for c in scalars)
+
+    def test_per_lane_seeds_need_xorshift_random(self):
+        cache = build_lru_cache(contention_geometry(), "modulo")
+        with pytest.raises(ValueError, match="xorshift"):
+            make_vector_batch(cache, 2, replacement_seeds=[1, 2])
 
     def test_rpcache_trace_replay_bit_identical(self):
         """RPCache's permutation-table placement plus the randomized
@@ -363,6 +421,16 @@ class TestVectorEnvelope:
         assert supports_vector_cache(self._random_cache(
             draws=CounterStream(counter_key(3))
         ))
+
+    def test_reseeded_random_replacement_is_inside(self):
+        """``reseed`` makes the stream reconstructible from the seed:
+        the descriptor reads ``("xorshift", seed)``."""
+        cache = self._random_cache()
+        cache.replacement.reseed(0x5EED_BA5E ^ 42)
+        assert cache.replacement.stream_descriptor() == (
+            "xorshift", 0x5EED_BA5E ^ 42
+        )
+        assert supports_vector_cache(cache)
 
     def test_custom_prng_random_is_outside(self):
         """An externally-owned PRNG may have unknown state — the probe
