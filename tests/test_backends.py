@@ -1426,7 +1426,12 @@ class TestCorruptResultQuarantine:
             results = list(backend.completions())
         finally:
             backend.close()
+            # close() stops only spawned workers; end this external
+            # one explicitly instead of waiting out its max_idle.
+            with open(wq._stop_path(str(tmp_path)), "wb"):
+                pass
             worker.join(timeout=30.0)
+        assert not worker.is_alive()
         assert len(results) == 1
         assert results[0].attempts == 2
         quarantined = os.listdir(tmp_path / "corrupt")
