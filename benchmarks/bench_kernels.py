@@ -1,9 +1,10 @@
 """Scalar vs. vector kernel throughput, tracked in BENCH_kernels.json.
 
 Measures the batched NumPy kernels (:mod:`repro.kernels`) against the
-scalar loops on the three hot paths — contention-attack trial blocks,
-trace replay (pwcet run batches, missrate set-parallel rounds) and
-the Fig. 5 engine's per-epoch cold-line warm-ups —
+scalar loops on the four hot paths — contention-attack trial blocks,
+trace replay (pwcet run batches, missrate set-parallel rounds), the
+Fig. 5 engine's per-epoch cold-line warm-ups and its AES encryption
+batches —
 building each cell exactly the way a campaign does (same specs, same
 per-trial seed hooks).  Every measured pair is also asserted
 bit-identical — a benchmark that drifted from the scalar semantics
@@ -51,8 +52,10 @@ from repro.campaigns.experiments import (
     resolve_pwcet_kernel,
     run_missrate,
 )
+from repro.campaigns.registry import KernelResolution
 from repro.core.batch import AESTimingEngine
 from repro.core.setups import make_setup
+from repro.crypto.aes import AES128, random_key
 from benchmarks.reporting import emit
 
 DEFAULT_JSON_PATH = os.path.join(_REPO_ROOT, "BENCH_kernels.json")
@@ -98,6 +101,15 @@ EPOCHS = (
     # (setup, collection samples, floor)
     ("mbpta", 30_000, 4.0),
     ("tscache", 30_000, 4.0),
+)
+
+
+#: Fig. 5 encryptions: one engine-sized chunk (the default 1024-sample
+#: RNG block), a scalar ``encrypt_block_traced`` loop vs one
+#: ``encrypt_batch`` call.
+AES_BATCHES = (
+    # (blocks, floor)
+    (1024, 50.0),
 )
 
 
@@ -239,6 +251,28 @@ def _bench_epochs(setup, samples, floor, repeats) -> dict:
                 int(cold.sum()), scalar_s, vector_s)
 
 
+def _bench_aes(blocks, floor, repeats) -> dict:
+    rng = np.random.default_rng(2018)
+    aes = AES128(random_key(rng))
+    plaintexts = rng.integers(0, 256, size=(blocks, 16), dtype=np.uint8)
+    rows = [bytes(row) for row in plaintexts]
+    scalar_s, traced = _time_fn(
+        lambda: [aes.encrypt_block_traced(row) for row in rows], repeats
+    )
+    vector_s, (ciphertexts, lookup_bytes) = _time_fn(
+        lambda: aes.encrypt_batch(plaintexts), repeats
+    )
+    for i, (ct, lookups) in enumerate(traced):
+        if (bytes(ciphertexts[i]) != ct or lookup_bytes[i].tolist()
+                != [lookup.byte_index for lookup in lookups]):
+            raise AssertionError(
+                f"aes-encrypt-batch: block {i} diverged from scalar"
+            )
+    return _row("aes-encrypt-batch", "aes128", (), blocks, floor,
+                KernelResolution("vector"), int(lookup_bytes.sum()),
+                scalar_s, vector_s)
+
+
 def run_benchmark(trials_scale: float = 1.0, repeats: int = 3) -> dict:
     """Measure every setup; returns the BENCH_kernels.json document."""
     rows = []
@@ -256,6 +290,8 @@ def run_benchmark(trials_scale: float = 1.0, repeats: int = 3) -> dict:
     for setup, base_samples, floor in EPOCHS:
         samples = max(2048, int(base_samples * trials_scale))
         rows.append(_bench_epochs(setup, samples, floor, repeats))
+    for blocks, floor in AES_BATCHES:
+        rows.append(_bench_aes(blocks, floor, repeats))
     return {
         "bench": "kernels",
         "schema": 2,

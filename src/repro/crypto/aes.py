@@ -7,9 +7,15 @@ Two implementations share the same tables:
   surface the paper's case study attacks).
 * :meth:`AES128.encrypt_batch` — NumPy-vectorized over many blocks,
   returning both ciphertexts and the (N, 160) matrix of lookup byte
-  indices that the batch cache engine consumes.
+  indices that the batch cache engine consumes.  It treats the N
+  states as one ``(N, 16)`` byte matrix, so each round is a handful of
+  whole-state ops: a ShiftRows byte gather (which is also the round's
+  lookup row), one gather from the flat Te0..Te3 table, and an XOR
+  reduce per column.  The T-tables are module constants shared by
+  every instance.
 
-Verified against the FIPS-197 vectors in the test suite.
+Verified against the FIPS-197 vectors in the test suite, and the
+batch path bit for bit against the scalar one.
 """
 
 from __future__ import annotations
@@ -30,6 +36,29 @@ DEFAULT_TABLE_BASE = 0x0010_0000
 
 #: Bytes per table (256 entries x 4 bytes).
 TABLE_BYTES = 1024
+
+#: Te0..Te3 back to back: lookup ``k`` of a main round reads table
+#: ``k % 4``, i.e. entry ``byte + _TE_OFFSETS[k]`` of this array.
+_TE_FLAT = np.array([word for table in TE_TABLES for word in table],
+                    dtype=np.uint32)
+_TE_OFFSETS = np.tile(np.arange(0, 1024, 256, dtype=np.intp), 4)
+_TE4 = np.array(TE4, dtype=np.uint32)
+
+#: ShiftRows as a gather of the 16 state bytes: lookup ``4c + k`` of a
+#: round reads byte ``k`` (most significant first) of column
+#: ``(c + k) % 4``.
+_SHIFT_ROWS = np.array(
+    [4 * ((c + k) % 4) + k for c in range(4) for k in range(4)],
+    dtype=np.intp,
+)
+
+#: Final-round byte masks: lookup ``4c + k`` keeps byte ``k`` of its
+#: Te4 word.
+_FINAL_MASKS = np.tile(
+    np.array([0xFF000000, 0x00FF0000, 0x0000FF00, 0x000000FF],
+             dtype=np.uint32),
+    4,
+)
 
 
 @dataclass(frozen=True)
@@ -67,10 +96,9 @@ class AES128:
             raise ValueError(f"AES-128 key must be 16 bytes, got {len(key)}")
         self.key = bytes(key)
         self.round_keys = self._expand_key(self.key)
-        self._np_round_keys = np.array(self.round_keys, dtype=np.uint32)
-        self._np_te = [np.array(t, dtype=np.uint32) for t in TE_TABLES]
-        self._np_te4 = np.array(TE4, dtype=np.uint32)
-        self._np_sbox = np.array(SBOX, dtype=np.uint32)
+        self._np_round_keys = np.array(
+            self.round_keys, dtype=np.uint32
+        ).reshape(11, 4)
 
     # -- key schedule ------------------------------------------------------
 
@@ -214,84 +242,66 @@ class AES128:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Encrypt N blocks at once.
 
+        Each round runs on the whole ``(N, 16)`` byte matrix: the state
+        is ``(N, 4)`` big-endian words, whose byte view is the 16 state
+        bytes in FIPS-197 order.  ShiftRows is one gather of those
+        bytes (:data:`_SHIFT_ROWS`), which are also the round's 16
+        lookup indices; one gather from the flat Te0..Te3 table and an
+        XOR-reduce over each column's 4 words give the next state.  The
+        final round gathers Te4, masks each word down to its byte and
+        ORs the columns together.  Bit-identical to
+        :meth:`encrypt_block_traced`, lookup order included.
+
         Parameters
         ----------
         plaintexts:
-            ``(N, 16) uint8`` array.
+            ``(N, 16) uint8`` array (any memory layout); any other
+            shape or dtype raises :class:`ValueError`.
 
         Returns
         -------
         ciphertexts:
             ``(N, 16) uint8`` array.
         lookup_bytes:
-            ``(N, 160) uint8`` array: per encryption, the byte index of
-            each T-table lookup in issue order.  The table id of lookup
-            ``k`` is fixed by position (see :func:`lookup_table_ids`)
-            and identical across encryptions.
+            ``(N, 160) uint8`` C-contiguous array: per encryption, the
+            byte index of each T-table lookup in issue order.  The
+            table id of lookup ``k`` is fixed by position (see
+            :func:`lookup_table_ids`) and identical across encryptions.
         """
         if plaintexts.ndim != 2 or plaintexts.shape[1] != 16:
             raise ValueError("plaintexts must have shape (N, 16)")
-        pt = plaintexts.astype(np.uint32)
-        n = pt.shape[0]
+        if plaintexts.dtype != np.uint8:
+            raise ValueError(
+                f"plaintexts must be uint8, got {plaintexts.dtype}"
+            )
+        n = plaintexts.shape[0]
         rk = self._np_round_keys
-        te = self._np_te
-
-        # Pack bytes into 4 big-endian words per block.
-        s = [
-            (pt[:, 4 * c] << 24) | (pt[:, 4 * c + 1] << 16)
-            | (pt[:, 4 * c + 2] << 8) | pt[:, 4 * c + 3]
-            for c in range(4)
-        ]
-        s = [w ^ rk[c] for c, w in enumerate(s)]
-
         lookup_bytes = np.empty((n, LOOKUPS_PER_ENCRYPTION), dtype=np.uint8)
-        pos = 0
 
+        state = _be_words(np.ascontiguousarray(plaintexts).view(">u4") ^ rk[0])
         for round_index in range(1, 10):
-            t = []
-            for col in range(4):
-                b0 = (s[col] >> np.uint32(24)) & np.uint32(0xFF)
-                b1 = (s[(col + 1) % 4] >> np.uint32(16)) & np.uint32(0xFF)
-                b2 = (s[(col + 2) % 4] >> np.uint32(8)) & np.uint32(0xFF)
-                b3 = s[(col + 3) % 4] & np.uint32(0xFF)
-                lookup_bytes[:, pos] = b0
-                lookup_bytes[:, pos + 1] = b1
-                lookup_bytes[:, pos + 2] = b2
-                lookup_bytes[:, pos + 3] = b3
-                pos += 4
-                t.append(
-                    te[0][b0] ^ te[1][b1] ^ te[2][b2] ^ te[3][b3]
-                    ^ rk[4 * round_index + col]
-                )
-            s = t
+            b = state.view(np.uint8)[:, _SHIFT_ROWS]
+            lookup_bytes[:, 16 * (round_index - 1):16 * round_index] = b
+            t = _TE_FLAT[b + _TE_OFFSETS].reshape(n, 4, 4)
+            state = _be_words(
+                np.bitwise_xor.reduce(t, axis=2) ^ rk[round_index]
+            )
 
-        out_words = []
-        te4 = self._np_te4
-        for col in range(4):
-            b0 = (s[col] >> np.uint32(24)) & np.uint32(0xFF)
-            b1 = (s[(col + 1) % 4] >> np.uint32(16)) & np.uint32(0xFF)
-            b2 = (s[(col + 2) % 4] >> np.uint32(8)) & np.uint32(0xFF)
-            b3 = s[(col + 3) % 4] & np.uint32(0xFF)
-            lookup_bytes[:, pos] = b0
-            lookup_bytes[:, pos + 1] = b1
-            lookup_bytes[:, pos + 2] = b2
-            lookup_bytes[:, pos + 3] = b3
-            pos += 4
-            word = (
-                (te4[b0] & np.uint32(0xFF000000))
-                | (te4[b1] & np.uint32(0x00FF0000))
-                | (te4[b2] & np.uint32(0x0000FF00))
-                | (te4[b3] & np.uint32(0x000000FF))
-            ) ^ rk[40 + col]
-            out_words.append(word)
+        b = state.view(np.uint8)[:, _SHIFT_ROWS]
+        lookup_bytes[:, 144:] = b
+        t = (_TE4[b] & _FINAL_MASKS).reshape(n, 4, 4)
+        out = _be_words(np.bitwise_or.reduce(t, axis=2) ^ rk[10])
+        return out.view(np.uint8), lookup_bytes
 
-        ciphertexts = np.empty((n, 16), dtype=np.uint8)
-        for c, word in enumerate(out_words):
-            ciphertexts[:, 4 * c] = (word >> np.uint32(24)) & np.uint32(0xFF)
-            ciphertexts[:, 4 * c + 1] = (word >> np.uint32(16)) & np.uint32(0xFF)
-            ciphertexts[:, 4 * c + 2] = (word >> np.uint32(8)) & np.uint32(0xFF)
-            ciphertexts[:, 4 * c + 3] = word & np.uint32(0xFF)
-        return ciphertexts, lookup_bytes
+
+def _be_words(words: np.ndarray) -> np.ndarray:
+    """``(N, 4)`` words as a C-ordered big-endian copy.
+
+    The round's fancy gathers come out Fortran-ordered, and so does
+    the reduce over them; the byte view of the next ShiftRows gather
+    needs C order.
+    """
+    return words.astype(">u4", order="C")
 
 
 def lookup_table_ids() -> np.ndarray:

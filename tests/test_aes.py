@@ -102,6 +102,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             AES128(FIPS_KEY).encrypt_batch(np.zeros((4, 8), dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "dtype", [np.int64, np.uint16, np.int8, np.float64, bool]
+    )
+    def test_batch_dtype_checked(self, dtype):
+        """Only uint8 is a byte matrix: a wider integer (whose 256
+        would spill into the next byte) or a float must be refused,
+        not reinterpreted."""
+        plaintexts = np.ones((4, 16), dtype=dtype)
+        with pytest.raises(ValueError, match="uint8"):
+            AES128(FIPS_KEY).encrypt_batch(plaintexts)
+
 
 class TestRoundtrip:
     @given(key_bytes, st.binary(min_size=16, max_size=16))
@@ -136,18 +147,29 @@ class TestTrace:
         assert aes_lookup_addresses([lookup], 0x1000) == [0x1000 + 2068]
 
 
+def _assert_batch_matches_scalar(aes, plaintexts):
+    """``encrypt_batch`` == per-block ``encrypt_block_traced``:
+    ciphertexts, lookup byte indices in issue order, dtypes, layout."""
+    ciphertexts, lookup_bytes = aes.encrypt_batch(plaintexts)
+    n = plaintexts.shape[0]
+    assert ciphertexts.dtype == np.uint8
+    assert lookup_bytes.dtype == np.uint8
+    assert ciphertexts.shape == (n, 16)
+    assert lookup_bytes.shape == (n, LOOKUPS_PER_ENCRYPTION)
+    assert lookup_bytes.flags.c_contiguous
+    for i in range(n):
+        ct, lookups = aes.encrypt_block_traced(bytes(plaintexts[i]))
+        assert bytes(ciphertexts[i]) == ct
+        assert lookup_bytes[i].tolist() == [l.byte_index for l in lookups]
+
+
 class TestBatch:
     @given(key_bytes)
     @settings(max_examples=10, deadline=None)
     def test_batch_matches_scalar(self, key):
         rng = np.random.default_rng(42)
         plaintexts = rng.integers(0, 256, size=(8, 16), dtype=np.uint8)
-        aes = AES128(key)
-        ciphertexts, lookup_bytes = aes.encrypt_batch(plaintexts)
-        for i in range(plaintexts.shape[0]):
-            ct, lookups = aes.encrypt_block_traced(bytes(plaintexts[i]))
-            assert bytes(ciphertexts[i]) == ct
-            assert list(lookup_bytes[i]) == [l.byte_index for l in lookups]
+        _assert_batch_matches_scalar(AES128(key), plaintexts)
 
     def test_batch_large_shape(self):
         aes = AES128(FIPS_KEY)
@@ -156,6 +178,39 @@ class TestBatch:
         ciphertexts, lookup_bytes = aes.encrypt_batch(plaintexts)
         assert ciphertexts.shape == (1000, 16)
         assert lookup_bytes.shape == (1000, LOOKUPS_PER_ENCRYPTION)
+
+    @pytest.mark.parametrize("seed", range(64))
+    def test_seeded_keys_match_scalar(self, seed):
+        """64 seeded keys x 256 blocks against the scalar reference."""
+        rng = np.random.default_rng(seed)
+        aes = AES128(random_key(rng))
+        plaintexts = rng.integers(0, 256, size=(256, 16), dtype=np.uint8)
+        _assert_batch_matches_scalar(aes, plaintexts)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_batches(self, n):
+        rng = np.random.default_rng(100 + n)
+        plaintexts = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+        _assert_batch_matches_scalar(AES128(FIPS_KEY), plaintexts)
+
+    def test_non_contiguous_inputs(self):
+        rng = np.random.default_rng(7)
+        aes = AES128(random_key(rng))
+        base = rng.integers(0, 256, size=(64, 16), dtype=np.uint8)
+        strided = base[::2]
+        fortran = np.asfortranarray(base)
+        assert not strided.flags.c_contiguous
+        assert not fortran.flags.c_contiguous
+        _assert_batch_matches_scalar(aes, strided)
+        _assert_batch_matches_scalar(aes, fortran)
+
+    def test_fips197_appendix_c_batch(self):
+        block = np.frombuffer(FIPS_PLAINTEXT, dtype=np.uint8)
+        plaintexts = np.stack([block, block])
+        ciphertexts, _ = AES128(FIPS_KEY).encrypt_batch(plaintexts)
+        assert bytes(ciphertexts[0]) == FIPS_CIPHERTEXT
+        assert bytes(ciphertexts[1]) == FIPS_CIPHERTEXT
+        _assert_batch_matches_scalar(AES128(FIPS_KEY), plaintexts)
 
 
 class TestRandomKey:

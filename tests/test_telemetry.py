@@ -518,11 +518,23 @@ class TestStatusCoordinatorFleet:
                 done.set()
 
             thread = threading.Thread(target=drain)
-            thread.start()
             saw_fleet = None
             saw_lease = None
             deadline = time.monotonic() + 60.0
             try:
+                # Each spawned worker registers (``workers/<id>.json``)
+                # on its first idle claim poll.  Wait for both before
+                # any unit is submitted, so a short campaign cannot
+                # drain before the second worker has shown up.
+                while time.monotonic() < deadline:
+                    by_host = coordinator_status(server.url)[
+                        "workers_by_host"
+                    ]
+                    if sum(by_host.values()) >= 2:
+                        saw_fleet = dict(by_host)
+                        break
+                    time.sleep(0.05)
+                thread.start()
                 while time.monotonic() < deadline:
                     doc = coordinator_status(server.url)
                     if sum(doc["workers_by_host"].values()) >= 2:
@@ -535,7 +547,8 @@ class TestStatusCoordinatorFleet:
                         break
                     time.sleep(0.05)
             finally:
-                thread.join(timeout=120)
+                if thread.is_alive():
+                    thread.join(timeout=120)
                 backend.close()
             assert done.is_set()
             assert saw_fleet is not None, \
