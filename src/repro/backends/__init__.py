@@ -9,12 +9,20 @@ across all of them.
 
 * :class:`SerialBackend` — in-process, submission order (reference).
 * :class:`ProcessPoolBackend` — a process pool on this host.
-* :class:`WorkQueueBackend` — a filesystem work queue served by
-  independent ``repro worker`` processes (same host or any host
-  sharing the directory), with lease-based dead-worker recovery.
-* :class:`HttpQueueBackend` — the same queue served over HTTP by a
-  ``repro coordinator`` process (:class:`CoordinatorServer`), so
-  worker hosts need network reach instead of a shared filesystem.
+* :class:`QueueBackend` — a work queue drained by independent
+  ``repro worker`` processes on any number of hosts, with lease-based
+  dead-worker recovery.  It runs over one of two transports:
+
+  - :class:`FsTransport`, the queue directory itself (same host, or
+    any host sharing the directory) — build it with
+    :class:`WorkQueueBackend`;
+  - :class:`HttpTransport`, the same directory served over HTTP by a
+    ``repro coordinator`` process (:class:`CoordinatorServer`), so
+    worker hosts need network reach instead of a shared filesystem —
+    build it with :class:`HttpQueueBackend`.
+
+  One dispatcher, one :func:`worker_loop` and one set of failure
+  rules serve both (see :mod:`repro.backends.workqueue`).
 
 Quickstart::
 
@@ -38,15 +46,16 @@ from repro.backends.base import (
 from repro.backends.coordinator import (
     CoordinatorClient,
     CoordinatorServer,
-    CoordinatorWorkerLauncher,
     HttpQueueBackend,
-    worker_loop_http,
+    HttpTransport,
 )
 from repro.backends.local import ProcessPoolBackend, SerialBackend
 from repro.backends.workqueue import (
     ElasticStats,
     ElasticSupervisor,
-    QueueWorkerLauncher,
+    FsTransport,
+    QueueBackend,
+    QueueTransport,
     WorkerLauncher,
     WorkQueueBackend,
     worker_loop,
@@ -55,13 +64,15 @@ from repro.backends.workqueue import (
 __all__ = [
     "CoordinatorClient",
     "CoordinatorServer",
-    "CoordinatorWorkerLauncher",
     "ElasticStats",
     "ElasticSupervisor",
     "ExecutionBackend",
+    "FsTransport",
     "HttpQueueBackend",
+    "HttpTransport",
     "ProcessPoolBackend",
-    "QueueWorkerLauncher",
+    "QueueBackend",
+    "QueueTransport",
     "SerialBackend",
     "WorkerLauncher",
     "WorkQueueBackend",
@@ -69,5 +80,4 @@ __all__ = [
     "WorkUnit",
     "execute_unit",
     "worker_loop",
-    "worker_loop_http",
 ]

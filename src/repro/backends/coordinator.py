@@ -1,48 +1,31 @@
 """HTTP coordinator: the filesystem work queue served over a network.
 
-The filesystem queue (:mod:`repro.backends.workqueue`) already has the
-right crash semantics — atomic document writes, rename-based claims,
-lease heartbeats, bounded re-enqueue — but it requires every worker to
-*mount the directory*.  This module lifts exactly those wire documents
-onto HTTP so a fleet of hosts can drain one campaign with no shared
-filesystem:
+The filesystem queue (:mod:`repro.backends.workqueue`) requires every
+worker to *mount the directory*.  This module lifts exactly its
+primitives onto HTTP, so a fleet of hosts can drain one campaign with
+no shared filesystem:
 
 * :class:`CoordinatorServer` — a stdlib ``ThreadingHTTPServer`` that
-  owns the queue directory and speaks the task/lease/result docs over
-  a small JSON API (``POST /claim``, ``PUT /heartbeat/<unit>``,
-  ``POST /result/<unit>``, ``GET /stats``, plus the dispatcher-side
-  endpoints below).  All state lives on disk in the same atomic queue
-  layout, so a coordinator that is SIGKILLed and restarted on the
-  same directory resumes the campaign mid-flight: leases keep aging,
-  results stay collectable, nothing is re-run that already finished.
-* :func:`worker_loop_http` — the ``repro worker --coordinator URL``
-  main loop: claim, execute, heartbeat, publish, entirely over HTTP.
-* :class:`HttpQueueBackend` — the dispatcher side: an
-  :class:`~repro.backends.base.ExecutionBackend` whose submit/poll/
-  collect/requeue/cancel primitives are HTTP calls against the
-  coordinator, mirroring :class:`WorkQueueBackend`'s recovery logic
-  (lease expiry re-enqueue bounded by ``max_attempts``,
-  collect-before-requeue, straggler sweeps).
+  owns the queue directory and answers a small JSON API (``POST
+  /claim``, ``PUT /heartbeat/<unit>``, ``POST /result/<unit>``, ``GET
+  /stats``, plus the dispatcher-side endpoints) by running the
+  :class:`~repro.backends.workqueue.FsTransport` method of the same
+  name under one lock.  All state lives on disk in the same atomic
+  queue layout, so a coordinator that is SIGKILLed and restarted on
+  the same directory resumes the campaign mid-flight: leases keep
+  aging, results stay collectable, nothing is re-run that already
+  finished.
+* :class:`HttpTransport` — the client side of that API: each transport
+  method is one :class:`CoordinatorClient` call.  ``repro worker
+  --coordinator URL`` runs :func:`~repro.backends.workqueue.worker_loop`
+  over it, and :class:`HttpQueueBackend` is the queue dispatcher over
+  it.
 
-Failure semantics
------------------
-
-* **Connection errors** (coordinator restarting, network blip): every
-  client call retries with capped exponential backoff + jitter for up
-  to ``retry_timeout`` seconds, so a coordinator bounce is invisible
-  as long as it comes back within the budget.
-* **Worker death mid-upload**: a result ``POST`` is accepted only
-  when the request body arrives complete (exact ``Content-Length``
-  bytes); a short read writes nothing, the lease goes stale, and the
-  unit is re-enqueued like any other dead-worker case.
-* **Duplicate result posts**: a unit re-enqueued while its worker was
-  merely slow (not dead) can produce two posts.  Each post carries
-  the attempt id it executed; the coordinator accepts a result only
-  while the unit's current attempt matches, so the stale
-  predecessor's duplicate is detected and dropped.  Payloads are pure
-  functions of the wire doc, so whichever attempt lands is
-  bit-identical anyway — the guard exists so the predecessor cannot
-  release (or clobber) the *successor's* live lease.
+The failure semantics are the filesystem queue's; they are written
+once, in the *Failure semantics* section of
+:mod:`repro.backends.workqueue`.  The wire adds only retries with
+backoff (:class:`CoordinatorClient`) and the rule that a result upload
+is written only when its body arrives complete.
 
 Everything here is standard library only.
 """
@@ -55,8 +38,6 @@ import os
 import pickle
 import random
 import socket
-import subprocess
-import sys
 import tempfile
 import threading
 import time
@@ -64,35 +45,17 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.backends.base import (
-    ExecutionBackend,
-    WorkResult,
-    WorkUnit,
-)
 from repro.backends.workqueue import (
     LEASES_DIR,
-    RESULTS_DIR,
     TASKS_DIR,
-    WORKERS_DIR,
-    WorkerLauncher,
-    _claim_next,
-    _host_label,
-    _lease_path,
-    _log_tails,
-    _result_path,
-    _stop_path,
-    _stop_proc,
-    _task_path,
-    _worker_info_path,
-    _worker_stop_path,
-    ensure_queue_dirs,
-    quarantine_file,
-    run_unit_doc,
+    FsTransport,
+    QueueBackend,
+    QueueTransport,
+    _read_json,
 )
-from repro.common.fsio import atomic_write_bytes
-from repro.telemetry.events import make_event
+from repro.telemetry.status import queue_dir_status
 
 DEFAULT_PORT = 8642
 
@@ -100,23 +63,19 @@ DEFAULT_PORT = 8642
 # -- coordinator (server) ----------------------------------------------------
 
 
-class CoordinatorState:
-    """The handler-shared view of one queue directory.
+class CoordinatorState(FsTransport):
+    """The filesystem transport behind the HTTP front door.
 
-    One global lock serializes every mutating operation.  The queue's
-    file operations are individually atomic already; the lock buys the
-    *compound* guarantees the HTTP surface promises — e.g. the
-    result-post attempt check and the lease release happen as one
-    step, and a ``/requeue`` cannot interleave with the result landing
-    it is checking for.
+    One global lock (taken by the handler) serializes every queue
+    operation.  The queue's file operations are individually atomic
+    already; the lock buys the *compound* guarantees the HTTP surface
+    promises — e.g. the result-post attempt check and the lease
+    release happen as one step, and a ``/requeue`` cannot interleave
+    with the result landing it is checking for.
     """
 
     def __init__(self, queue_dir: str, *, worker_fresh: float = 5.0) -> None:
-        self.queue_dir = queue_dir
-        #: Seconds within which a ``workers/<id>.json`` mtime counts
-        #: as a live idle worker for ``/stats`` (busy workers
-        #: advertise through their stamped lease instead).
-        self.worker_fresh = worker_fresh
+        super().__init__(queue_dir, worker_fresh=worker_fresh)
         self.lock = threading.Lock()
         #: Process-lifetime throughput counters behind ``GET
         #: /metrics``.  Deliberately *not* persisted: a restarted
@@ -130,306 +89,38 @@ class CoordinatorState:
         #: never take ``self.lock``, so a submission can never block a
         #: worker's claim/result round-trip.
         self.scheduler = None
-        ensure_queue_dirs(queue_dir)
+        self._requeue_unstamped_claims()
 
-    # Each helper below runs under ``self.lock`` (the handler takes
-    # it) and works purely against the on-disk queue, which is the
-    # whole crash-restart story: a restarted coordinator rebuilds its
-    # entire world from the directory.
+    def _requeue_unstamped_claims(self) -> None:
+        """Hand out again the claims a killed predecessor died inside.
 
-    def claim(self, worker_id: str, host: str) -> Dict[str, Any]:
-        info_path = _worker_info_path(self.queue_dir, worker_id)
-        if os.path.exists(_stop_path(self.queue_dir)):
-            self._forget_worker(worker_id)
-            return {"unit": None, "stop": True, "retire": False}
-        if os.path.exists(_worker_stop_path(self.queue_dir, worker_id)):
-            self._forget_worker(worker_id)
-            return {"unit": None, "stop": False, "retire": True}
-        # The claim poll doubles as the worker's idle liveness beat.
-        try:
-            os.utime(info_path)
-        except OSError:
-            atomic_write_bytes(
-                info_path,
-                json.dumps({
-                    "worker_id": worker_id,
-                    "host": host,
-                    "via": "coordinator",
-                    "started": time.time(),
-                }).encode(),
-            )
-        unit_id = _claim_next(self.queue_dir)
-        if unit_id is None:
-            return {"unit": None, "stop": False, "retire": False}
-        lease_path = _lease_path(self.queue_dir, unit_id)
-        try:
-            with open(lease_path) as handle:
-                doc = json.load(handle)
-        except (OSError, ValueError):
-            # Claim raced a cancel (or the doc is torn): nothing to
-            # hand out this round.
-            return {"unit": None, "stop": False, "retire": False}
-        # Stamp ownership before the doc ever leaves the coordinator —
-        # HTTP claims have no unstamped window at all.
-        doc["worker"] = worker_id
-        doc["host"] = host
-        atomic_write_bytes(lease_path, json.dumps(doc).encode())
-        return {"unit": doc, "stop": False, "retire": False}
-
-    def _forget_worker(self, worker_id: str) -> None:
-        for path in (
-            _worker_stop_path(self.queue_dir, worker_id),
-            _worker_info_path(self.queue_dir, worker_id),
-        ):
+        A claim renames the task into ``leases/`` before it stamps the
+        claimant, so an unstamped lease at start-up is a claim whose
+        doc never reached its worker.  Left alone it would block the
+        unit for a whole lease timeout; moving it back to ``tasks/``
+        keeps its attempt, so whoever claims it next publishes it.
+        """
+        leases_dir = os.path.join(self.queue_dir, LEASES_DIR)
+        for name in os.listdir(leases_dir):
+            if not name.endswith(".json"):
+                continue
+            doc = _read_json(os.path.join(leases_dir, name))
+            if doc is None or "worker" in doc:
+                continue
             try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    def heartbeat(self, unit_id: str, worker_id: str) -> bool:
-        """Refresh the lease if ``worker_id`` still owns it."""
-        lease_path = _lease_path(self.queue_dir, unit_id)
-        try:
-            with open(lease_path) as handle:
-                owner = json.load(handle).get("worker")
-        except (OSError, ValueError):
-            return False
-        if owner != worker_id:
-            return False
-        try:
-            os.utime(lease_path)
-        except OSError:
-            return False
-        return True
+                os.rename(
+                    os.path.join(leases_dir, name),
+                    os.path.join(self.queue_dir, TASKS_DIR, name),
+                )
+            except FileNotFoundError:
+                pass  # claimed-and-released meanwhile
 
     def post_result(
         self, unit_id: str, worker_id: str, attempt: int, body: bytes
     ) -> bool:
-        """Publish a result; False when the post is stale/duplicate.
-
-        Accepted only while (a) no result is already on disk and (b)
-        the unit's current doc — its lease, or its task file if it was
-        re-enqueued but not yet re-claimed — still carries the posting
-        attempt.  A re-enqueue increments the attempt, so a slow
-        predecessor's late post fails the check and is dropped without
-        touching the successor's lease.  A unit with no doc at all was
-        cancelled (or already finished and was collected): dropped
-        too.
-        """
-        result_path = _result_path(self.queue_dir, unit_id)
-        if os.path.exists(result_path):
-            return False
-        lease_path = _lease_path(self.queue_dir, unit_id)
-        doc = self._read_json(lease_path)
-        release_lease = False
-        if doc is not None:
-            if int(doc.get("attempt", 1)) != attempt:
-                return False
-            release_lease = doc.get("worker") == worker_id
-        else:
-            doc = self._read_json(_task_path(self.queue_dir, unit_id))
-            if doc is None or int(doc.get("attempt", 1)) != attempt:
-                return False
-        atomic_write_bytes(result_path, body)
-        self.results_posted += 1
-        if release_lease:
-            try:
-                os.unlink(lease_path)
-            except OSError:
-                pass
-        return True
-
-    @staticmethod
-    def _read_json(path: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(path) as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
-
-    def submit(self, doc: Dict[str, Any]) -> None:
-        unit_id = str(doc["unit_id"])
-        # Same submit-time sweep as WorkQueueBackend: deterministic
-        # unit ids mean a reused queue directory may hold this id's
-        # leftovers from an earlier campaign.
-        for stale in (
-            _result_path(self.queue_dir, unit_id),
-            _lease_path(self.queue_dir, unit_id),
-            _task_path(self.queue_dir, unit_id),
-        ):
-            try:
-                os.unlink(stale)
-            except FileNotFoundError:
-                pass
-        atomic_write_bytes(
-            _task_path(self.queue_dir, unit_id),
-            json.dumps(doc).encode(),
-        )
-
-    def poll(
-        self, unit_ids: List[str], cancelled: List[str]
-    ) -> Dict[str, Any]:
-        """One dispatcher round trip: readiness + lease ages + sweep."""
-        ready: List[str] = []
-        lease_ages: Dict[str, Optional[float]] = {}
-        now = time.time()
-        for unit_id in unit_ids:
-            if os.path.exists(_result_path(self.queue_dir, unit_id)):
-                ready.append(unit_id)
-            try:
-                mtime = os.stat(
-                    _lease_path(self.queue_dir, unit_id)
-                ).st_mtime
-                lease_ages[unit_id] = now - mtime
-            except OSError:
-                lease_ages[unit_id] = None
-        swept: List[str] = []
-        for unit_id in cancelled:
-            try:
-                os.unlink(_result_path(self.queue_dir, unit_id))
-                swept.append(unit_id)
-            except FileNotFoundError:
-                pass
-        return {"ready": ready, "lease_ages": lease_ages, "swept": swept}
-
-    def read_result(self, unit_id: str) -> Optional[bytes]:
-        try:
-            with open(_result_path(self.queue_dir, unit_id), "rb") as f:
-                return f.read()
-        except OSError:
-            return None
-
-    def delete_result(self, unit_id: str) -> bool:
-        """Consume a result (plus any task/lease litter for the id)."""
-        removed = False
-        try:
-            os.unlink(_result_path(self.queue_dir, unit_id))
-            removed = True
-        except FileNotFoundError:
-            pass
-        for path in (
-            _lease_path(self.queue_dir, unit_id),
-            _task_path(self.queue_dir, unit_id),
-        ):
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-        return removed
-
-    def requeue(
-        self, unit_id: str, doc: Dict[str, Any], quarantine: bool
-    ) -> Dict[str, Any]:
-        """Re-enqueue an expired/corrupt unit with a fresh attempt doc.
-
-        Collect-before-requeue, decided atomically on the coordinator:
-        if a result landed for the unit (the worker was slow, not
-        dead), the requeue is refused and the dispatcher collects
-        instead — unless ``quarantine`` is set, which means the
-        dispatcher already read that result and found it corrupt; then
-        the evidence moves to ``corrupt/`` first and the retry
-        proceeds.
-        """
-        result_path = _result_path(self.queue_dir, unit_id)
-        quarantined = None
-        if os.path.exists(result_path):
-            if not quarantine:
-                return {"requeued": False, "has_result": True}
-            quarantined = quarantine_file(self.queue_dir, result_path)
-        try:
-            os.unlink(_lease_path(self.queue_dir, unit_id))
-        except FileNotFoundError:
-            pass
-        atomic_write_bytes(
-            _task_path(self.queue_dir, unit_id),
-            json.dumps(doc).encode(),
-        )
-        return {
-            "requeued": True, "has_result": False,
-            "quarantined": quarantined,
-        }
-
-    def cancel(self, unit_ids: List[str]) -> Dict[str, Dict[str, bool]]:
-        removed: Dict[str, Dict[str, bool]] = {}
-        for unit_id in unit_ids:
-            stages = {}
-            for stage, path in (
-                ("task", _task_path(self.queue_dir, unit_id)),
-                ("lease", _lease_path(self.queue_dir, unit_id)),
-                ("result", _result_path(self.queue_dir, unit_id)),
-            ):
-                try:
-                    os.unlink(path)
-                    stages[stage] = True
-                except FileNotFoundError:
-                    stages[stage] = False
-            removed[unit_id] = stages
-        return removed
-
-    def set_stop(self, stopped: bool) -> None:
-        if stopped:
-            atomic_write_bytes(_stop_path(self.queue_dir), b"")
-        else:
-            try:
-                os.unlink(_stop_path(self.queue_dir))
-            except FileNotFoundError:
-                pass
-
-    def stats(self) -> Dict[str, Any]:
-        counts = {}
-        for name in (TASKS_DIR, LEASES_DIR, RESULTS_DIR):
-            try:
-                counts[name] = len(os.listdir(
-                    os.path.join(self.queue_dir, name)
-                ))
-            except FileNotFoundError:
-                counts[name] = 0
-        # Unique live workers per host: fresh idle heartbeats from
-        # workers/, plus the owner stamped into every lease (a busy
-        # worker's info file may be stale — its liveness is the lease).
-        worker_hosts: Dict[str, str] = {}
-        workers_dir = os.path.join(self.queue_dir, WORKERS_DIR)
-        now = time.time()
-        try:
-            names = os.listdir(workers_dir)
-        except FileNotFoundError:
-            names = []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(workers_dir, name)
-            try:
-                if now - os.stat(path).st_mtime > self.worker_fresh:
-                    continue
-            except OSError:
-                continue
-            info = self._read_json(path) or {}
-            worker_hosts[name[: -len(".json")]] = (
-                info.get("host") or "external"
-            )
-        leases_dir = os.path.join(self.queue_dir, LEASES_DIR)
-        try:
-            names = os.listdir(leases_dir)
-        except FileNotFoundError:
-            names = []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            doc = self._read_json(os.path.join(leases_dir, name)) or {}
-            worker = doc.get("worker")
-            if worker:
-                worker_hosts[worker] = doc.get("host") or "external"
-        by_host: Dict[str, int] = {}
-        for host in worker_hosts.values():
-            by_host[host] = by_host.get(host, 0) + 1
-        return {
-            "queue_dir": self.queue_dir,
-            "tasks": counts[TASKS_DIR],
-            "leases": counts[LEASES_DIR],
-            "results": counts[RESULTS_DIR],
-            "stopped": os.path.exists(_stop_path(self.queue_dir)),
-            "workers_by_host": by_host,
-        }
+        accepted = super().post_result(unit_id, worker_id, attempt, body)
+        self.results_posted += accepted
+        return accepted
 
     def metrics(self) -> Dict[str, Any]:
         """The ``GET /metrics`` fleet snapshot.
@@ -440,8 +131,6 @@ class CoordinatorState:
         result-post counter so ``repro status --coordinator`` can
         print a throughput line without any filesystem access.
         """
-        from repro.telemetry.status import queue_dir_status
-
         doc = queue_dir_status(
             self.queue_dir, heartbeat_fresh=self.worker_fresh
         )
@@ -902,208 +591,137 @@ class CoordinatorClient:
         return status, doc if isinstance(doc, dict) else {}
 
 
-# -- worker side -------------------------------------------------------------
+# -- the transport over the wire ---------------------------------------------
 
 
-class _HttpHeartbeat:
-    """Keeps one claimed unit's lease fresh via ``PUT /heartbeat``.
+class HttpTransport(QueueTransport):
+    """The queue primitives as calls to a coordinator.
 
-    The HTTP analogue of the filesystem worker's lease-touching
-    thread.  A ``410 Gone`` means the coordinator no longer recognises
-    this worker's claim (expired + re-claimed, or cancelled):
-    :attr:`lost` is set and the worker must abort its publish — the
-    successor owns the unit now.  Connection errors are ridden out:
-    the coordinator may just be restarting, and the on-disk lease
-    keeps its last mtime meanwhile.
+    Each method is one :class:`CoordinatorClient` request against the
+    coordinator's wire API, which runs the
+    :class:`~repro.backends.workqueue.FsTransport` method of the same
+    name — so the worker and dispatcher on top behave exactly as on a
+    mounted queue directory.  ``retry_timeout`` bounds how long any
+    one call keeps retrying an unreachable coordinator (the
+    ride-through budget for a coordinator crash/restart).
     """
 
     def __init__(
         self,
-        client: CoordinatorClient,
-        unit_id: str,
-        worker_id: str,
-        interval: float,
+        url: str,
+        *,
+        retry_timeout: float = 60.0,
+        client: Optional[CoordinatorClient] = None,
     ) -> None:
-        self._client = client
-        self._unit_id = unit_id
-        self._worker_id = worker_id
-        self._interval = max(0.05, interval)
-        self._stop = threading.Event()
-        self.lost = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
-            try:
-                status, _ = self._client.request(
-                    "PUT",
-                    f"/heartbeat/{self._unit_id}",
-                    json_body={"worker": self._worker_id},
-                    retry=False,
-                )
-            except Exception:
-                continue  # unreachable coordinator: keep trying
-            if status == 410:
-                self.lost.set()
-                return
-
-    def __enter__(self) -> "_HttpHeartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        self._thread.join()
-
-
-def worker_loop_http(
-    url: str,
-    *,
-    worker_id: Optional[str] = None,
-    poll_interval: float = 0.2,
-    max_idle: Optional[float] = None,
-    echo: bool = True,
-    retry_timeout: float = 60.0,
-) -> int:
-    """The ``repro worker --coordinator URL`` main loop; units executed.
-
-    The claim/execute/publish cycle of :func:`worker_loop`, with every
-    queue primitive replaced by an HTTP call — so the worker host
-    needs network reach to the coordinator and nothing else.  The
-    coordinator answers each claim with stop/retire verdicts (the
-    queue-wide and per-worker sentinels), so fleet drain and elastic
-    retirement work identically to the filesystem transport.
-    """
-    worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    host = _host_label()
-    client = CoordinatorClient(url, retry_timeout=retry_timeout)
-    if echo:
-        print(f"[worker {worker_id}] serving coordinator {url}",
-              file=sys.stderr, flush=True)
-    executed = 0
-    idle_since = time.monotonic()
-    while True:
-        status, answer = client.request_json(
-            "POST", "/claim",
-            json_body={"worker": worker_id, "host": host},
+        self.url = url.rstrip("/")
+        self.client = client if client is not None else CoordinatorClient(
+            self.url, retry_timeout=retry_timeout
         )
-        if status != 200:
+        self.worker_args = ["--coordinator", self.url]
+
+    def describe(self) -> str:
+        return f"coordinator {self.url}"
+
+    def spawn_log_dir(self) -> str:
+        # The dispatcher may share no filesystem with the coordinator.
+        return tempfile.mkdtemp(prefix="repro-http-workers-")
+
+    def _call(self, method: str, path: str, **kwargs: Any) -> Dict[str, Any]:
+        status, doc = self.client.request_json(method, path, **kwargs)
+        if status >= 400:
             raise RuntimeError(
-                f"coordinator rejected claim ({status}): {answer}"
+                f"coordinator {method} {path} failed "
+                f"({status}): {doc.get('error', doc)}"
             )
-        if answer.get("stop") or answer.get("retire"):
-            if echo and answer.get("retire"):
-                print(f"[worker {worker_id}] retiring on request",
-                      file=sys.stderr, flush=True)
-            break
-        doc = answer.get("unit")
-        if doc is None:
-            if (max_idle is not None
-                    and time.monotonic() - idle_since > max_idle):
-                break
-            time.sleep(poll_interval)
-            continue
-        unit_id = str(doc["unit_id"])
-        heartbeat = _HttpHeartbeat(
-            client, unit_id, worker_id,
-            float(doc.get("heartbeat", 5.0)),
+        return doc
+
+    def submit(self, doc: Dict[str, Any]) -> None:
+        self._call("POST", "/submit", json_body=doc)
+
+    def poll(
+        self, unit_ids: Sequence[str], cancelled: Sequence[str]
+    ) -> Dict[str, Any]:
+        return self._call("POST", "/poll", json_body={
+            "unit_ids": list(unit_ids), "cancelled": list(cancelled),
+        })
+
+    def read_result(self, unit_id: str) -> Optional[bytes]:
+        status, body = self.client.request("GET", f"/result/{unit_id}")
+        if status == 404:
+            return None
+        if status >= 400:
+            raise RuntimeError(
+                f"coordinator GET /result/{unit_id} failed ({status})"
+            )
+        return body
+
+    def delete_result(self, unit_id: str) -> bool:
+        return bool(self._call("DELETE", f"/result/{unit_id}")["removed"])
+
+    def requeue(
+        self, unit_id: str, doc: Dict[str, Any], quarantine: bool
+    ) -> Dict[str, Any]:
+        query = "?quarantine=1" if quarantine else ""
+        return self._call(
+            "POST", f"/requeue/{unit_id}{query}", json_body=doc
         )
-        with heartbeat:
-            result = run_unit_doc(doc, worker_id)
-        if heartbeat.lost.is_set():
-            # The coordinator disowned our lease mid-unit: a successor
-            # is (or will be) computing the identical payload.  Do not
-            # publish against its attempt.
-            continue
-        status, answer = client.request_json(
+
+    def cancel(self, unit_ids: Sequence[str]) -> Dict[str, Dict[str, bool]]:
+        answer = self._call(
+            "POST", "/cancel", json_body={"unit_ids": list(unit_ids)}
+        )
+        return answer["removed"]
+
+    def set_stop(self, stopped: bool) -> None:
+        self._call("POST" if stopped else "DELETE", "/stop")
+
+    def stats(self) -> Dict[str, Any]:
+        return self._call("GET", "/stats")
+
+    def claim(self, worker_id: str, host: str) -> Dict[str, Any]:
+        return self._call(
+            "POST", "/claim", json_body={"worker": worker_id, "host": host}
+        )
+
+    def heartbeat(self, unit_id: str, worker_id: str) -> bool:
+        # One attempt per beat: the next beat is the retry.  A
+        # ``410 Gone`` is the coordinator disowning the lease.
+        try:
+            status, _ = self.client.request(
+                "PUT", f"/heartbeat/{unit_id}",
+                json_body={"worker": worker_id}, retry=False,
+            )
+        except http.client.HTTPException as exc:
+            raise ConnectionError(str(exc)) from exc
+        return status != 410
+
+    def post_result(
+        self, unit_id: str, worker_id: str, attempt: int, body: bytes
+    ) -> bool:
+        status, answer = self.client.request_json(
             "POST", f"/result/{unit_id}",
-            data=pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+            data=body,
             headers={
                 "X-Repro-Worker": worker_id,
-                "X-Repro-Attempt": str(result["attempt"]),
+                "X-Repro-Attempt": str(attempt),
             },
         )
-        accepted = status == 200 and answer.get("accepted")
-        if echo:
-            verdict = ("done" if result["ok"] else "FAILED") \
-                if accepted else "dropped (stale attempt)"
-            print(f"[worker {worker_id}] {unit_id}: {verdict}",
-                  file=sys.stderr, flush=True)
-        executed += 1
-        idle_since = time.monotonic()
-    if echo:
-        print(f"[worker {worker_id}] exiting after {executed} unit(s)",
-              file=sys.stderr, flush=True)
-    return executed
+        return status == 200 and bool(answer.get("accepted"))
+
+    def mark_dead(self, unit_id: str) -> None:
+        """Nothing to record remotely: without beats the coordinator's
+        lease simply ages out."""
 
 
-def _spawn_http_worker(
-    url: str, worker_id: str, poll_interval: float, log_dir: str
-) -> Tuple[subprocess.Popen, str]:
-    """Start one local ``repro worker --coordinator`` subprocess."""
-    os.makedirs(log_dir, exist_ok=True)
-    log_path = os.path.join(log_dir, worker_id + ".log")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    log = open(log_path, "ab")
-    try:
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "worker",
-                "--coordinator", url,
-                "--worker-id", worker_id,
-                "--poll", str(poll_interval),
-            ],
-            stdout=log,
-            stderr=subprocess.STDOUT,
-            env=env,
-        )
-    finally:
-        log.close()
-    return proc, log_path
+class HttpQueueBackend(QueueBackend):
+    """A :class:`~repro.backends.workqueue.QueueBackend` over a
+    coordinator, so the dispatcher needs no filesystem access to the
+    queue at all.
 
-
-class CoordinatorWorkerLauncher(WorkerLauncher):
-    """Launches local workers that join a coordinator over HTTP.
-
-    Plugged into an :class:`ElasticSupervisor` running next to the
-    coordinator (``repro coordinator --max-workers N``): the
-    supervisor observes the queue directory it shares with the
-    coordinator and scales a colocated pool, while remote hosts join
-    the same campaign with their own ``repro worker --coordinator``
-    processes.
-    """
-
-    def __init__(self, url: str, log_dir: str) -> None:
-        self.url = url
-        self.log_dir = log_dir
-        self.host = _host_label()
-
-    def launch(
-        self, worker_id: str, poll_interval: float
-    ) -> Tuple[subprocess.Popen, str]:
-        return _spawn_http_worker(
-            self.url, worker_id, poll_interval, self.log_dir
-        )
-
-
-# -- dispatcher side ---------------------------------------------------------
-
-
-class HttpQueueBackend(ExecutionBackend):
-    """Dispatches units to a coordinator over HTTP.
-
-    The network twin of :class:`WorkQueueBackend` — same task docs,
-    same lease-expiry re-enqueue bounded by ``max_attempts``, same
-    collect-before-requeue and straggler sweeping — with every queue
-    primitive an API call, so the dispatcher needs no filesystem
-    access to the queue at all.
-
-    Parameters mirror :class:`WorkQueueBackend` where they exist
-    there; ``retry_timeout`` bounds how long any one API call keeps
-    retrying an unreachable coordinator (the ride-through budget for
-    a coordinator crash/restart), and ``spawn_workers`` starts local
-    ``repro worker --coordinator`` subprocesses as a convenience.
+    ``retry_timeout`` (or a ready ``client``) configures the
+    :class:`HttpTransport`; ``spawn_workers`` starts local ``repro
+    worker --coordinator`` subprocesses.  The other parameters are
+    :class:`~repro.backends.workqueue.QueueBackend`'s.
     """
 
     def __init__(
@@ -1119,342 +737,12 @@ class HttpQueueBackend(ExecutionBackend):
         client: Optional[CoordinatorClient] = None,
         telemetry=None,
     ) -> None:
-        if lease_timeout <= 0:
-            raise ValueError("lease_timeout must be positive")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.url = url.rstrip("/")
-        self.lease_timeout = lease_timeout
-        self.poll_interval = poll_interval
-        self.max_attempts = max_attempts
-        self.idle_timeout = idle_timeout
-        #: Optional :class:`repro.telemetry.sink.TelemetrySink` for
-        #: the fault-recovery events (heartbeat gaps, lease expiries,
-        #: requeues, quarantines) — the HTTP twin of
-        #: :class:`WorkQueueBackend`'s journal trail.
-        self.telemetry = telemetry
-        #: ``(unit, attempt)`` pairs already warned about via a
-        #: heartbeat_gap event — one early warning per delivery.
-        self._gap_warned: Set[Tuple[str, int]] = set()
-        self.client = client if client is not None else CoordinatorClient(
-            self.url, retry_timeout=retry_timeout
+        super().__init__(
+            HttpTransport(url, retry_timeout=retry_timeout, client=client),
+            lease_timeout=lease_timeout,
+            poll_interval=poll_interval,
+            max_attempts=max_attempts,
+            spawn_workers=spawn_workers,
+            idle_timeout=idle_timeout,
+            telemetry=telemetry,
         )
-        self._outstanding: Dict[str, WorkUnit] = {}
-        self._attempts: Dict[str, int] = {}
-        self._cancelled_ids: Set[str] = set()
-        self._procs: List[subprocess.Popen] = []
-        self._log_paths: List[str] = []
-        self._log_dir: Optional[str] = None
-        # A stale queue-wide stop sentinel from an earlier campaign
-        # would retire fresh workers on their first claim.
-        self._call_json("DELETE", "/stop")
-        if spawn_workers:
-            self._log_dir = tempfile.mkdtemp(prefix="repro-http-workers-")
-            for index in range(spawn_workers):
-                self._spawn_worker(index)
-
-    # -- plumbing ------------------------------------------------------------
-
-    def _call_json(
-        self, method: str, path: str, **kwargs: Any
-    ) -> Dict[str, Any]:
-        status, doc = self.client.request_json(method, path, **kwargs)
-        if status >= 400:
-            raise RuntimeError(
-                f"coordinator {method} {path} failed "
-                f"({status}): {doc.get('error', doc)}"
-            )
-        return doc
-
-    def _spawn_worker(self, index: int) -> None:
-        worker_id = f"spawned-{_host_label()}-{os.getpid()}-{index}"
-        proc, log_path = _spawn_http_worker(
-            self.url, worker_id, self.poll_interval,
-            self._log_dir or tempfile.gettempdir(),
-        )
-        self._procs.append(proc)
-        self._log_paths.append(log_path)
-        if self.telemetry is not None:
-            self.telemetry.emit(make_event(
-                "worker_spawn", worker=worker_id, host=_host_label(),
-            ))
-
-    def live_worker_count(self) -> Optional[int]:
-        """Locally spawned live workers, else the coordinator's total
-        fleet view (``/stats``); None only when that call fails."""
-        by_host = self.workers_by_host()
-        if by_host is None:
-            return None
-        return sum(by_host.values())
-
-    def workers_by_host(self) -> Optional[Dict[str, int]]:
-        if self._procs:
-            alive = sum(
-                1 for proc in self._procs if proc.poll() is None
-            )
-            return {_host_label(): alive} if alive else {}
-        try:
-            stats = self._call_json("GET", "/stats")
-        except Exception:
-            return None
-        by_host = stats.get("workers_by_host")
-        return dict(by_host) if isinstance(by_host, dict) else None
-
-    def _check_spawned(self) -> None:
-        if not self._outstanding or not self._procs:
-            return
-        if any(proc.poll() is None for proc in self._procs):
-            return
-        raise RuntimeError(
-            "all spawned workers exited with "
-            f"{len(self._outstanding)} unit(s) outstanding\n"
-            + _log_tails(self._log_paths)
-        )
-
-    # -- submission ----------------------------------------------------------
-
-    def _task_doc(self, unit: WorkUnit, attempt: int) -> Dict[str, Any]:
-        doc = unit.to_doc()
-        doc["attempt"] = attempt
-        doc["heartbeat"] = max(0.05, self.lease_timeout / 4.0)
-        return doc
-
-    def submit(self, unit: WorkUnit) -> None:
-        if unit.unit_id in self._outstanding:
-            raise ValueError(f"unit {unit.unit_id!r} already submitted")
-        self._cancelled_ids.discard(unit.unit_id)
-        self._outstanding[unit.unit_id] = unit
-        self._attempts[unit.unit_id] = 1
-        # The coordinator sweeps the id's stale leftovers (reused
-        # queue dir) before writing the fresh task doc.
-        self._call_json(
-            "POST", "/submit", json_body=self._task_doc(unit, attempt=1)
-        )
-
-    # -- completion ----------------------------------------------------------
-
-    def completions(self) -> Iterator[WorkResult]:
-        last_alive = time.monotonic()
-        while self._outstanding:
-            progressed = False
-            poll = self._call_json(
-                "POST", "/poll",
-                json_body={
-                    "unit_ids": list(self._outstanding),
-                    "cancelled": list(self._cancelled_ids),
-                },
-            )
-            for unit_id in poll.get("swept", []):
-                self._cancelled_ids.discard(unit_id)
-            for unit_id in poll.get("ready", []):
-                if unit_id not in self._outstanding:
-                    continue
-                result = self._collect(unit_id)
-                if result is not None:
-                    progressed = True
-                    yield result
-            lease_ages = poll.get("lease_ages", {})
-            for result in self._requeue_expired(lease_ages):
-                progressed = True
-                yield result
-            any_live = any(
-                age is not None and age <= self.lease_timeout
-                for unit_id, age in lease_ages.items()
-                if unit_id in self._outstanding
-            )
-            if progressed or any_live:
-                last_alive = time.monotonic()
-            if not self._outstanding:
-                break
-            if not progressed:
-                self._check_spawned()
-                if (self.idle_timeout is not None
-                        and time.monotonic() - last_alive
-                        > self.idle_timeout):
-                    raise RuntimeError(
-                        f"coordinator queue idle for "
-                        f"{self.idle_timeout:.0f}s with "
-                        f"{len(self._outstanding)} unit(s) outstanding "
-                        "— are any workers running? (start one with: "
-                        f"repro worker --coordinator {self.url})"
-                    )
-                time.sleep(self.poll_interval)
-
-    def _collect(self, unit_id: str) -> Optional[WorkResult]:
-        status, body = self.client.request("GET", f"/result/{unit_id}")
-        if status == 404:
-            return None
-        if status >= 400:
-            raise RuntimeError(
-                f"coordinator GET /result/{unit_id} failed ({status})"
-            )
-        unit = self._outstanding.get(unit_id)
-        try:
-            doc = pickle.loads(body)
-        except Exception:
-            # A corrupt result over HTTP means the *queue disk* tore
-            # the write (the transport length-checks every body).
-            # Same recovery as the filesystem backend: quarantine the
-            # evidence coordinator-side and burn an attempt.
-            if unit is None:
-                self._call_json("DELETE", f"/result/{unit_id}")
-                return None
-            self._quarantine_and_requeue(unit_id, unit)
-            return None
-        if unit is None:
-            # Cancelled, but a straggler published anyway: consume it
-            # so a reused queue directory never replays it.
-            self._call_json("DELETE", f"/result/{unit_id}")
-            return None
-        self._call_json("DELETE", f"/result/{unit_id}")
-        if not doc.get("ok"):
-            raise RuntimeError(
-                f"unit {unit_id} ({unit.label}) failed on worker "
-                f"{doc.get('worker')}:\n{doc.get('error')}"
-            )
-        attempts = self._attempts.pop(unit_id)
-        del self._outstanding[unit_id]
-        return WorkResult(
-            unit=unit,
-            payload=doc["payload"],
-            elapsed=float(doc.get("elapsed", 0.0)),
-            worker=doc.get("worker"),
-            attempts=attempts,
-            timings=doc.get("timings"),
-        )
-
-    def _quarantine_and_requeue(
-        self, unit_id: str, unit: WorkUnit
-    ) -> None:
-        attempts = self._attempts[unit_id] + 1
-        if attempts > self.max_attempts:
-            raise RuntimeError(
-                f"unit {unit_id} ({unit.label}): corrupt result "
-                f"document (quarantined coordinator-side) and the "
-                f"{self.max_attempts}-attempt budget is exhausted — "
-                "is the coordinator's queue filesystem tearing writes?"
-            )
-        self._attempts[unit_id] = attempts
-        answer = self._call_json(
-            "POST", f"/requeue/{unit_id}?quarantine=1",
-            json_body=self._task_doc(unit, attempt=attempts),
-        )
-        if self.telemetry is not None:
-            self.telemetry.emit(make_event(
-                "quarantine", unit=unit_id,
-                path=answer.get("quarantined") or "coordinator-side",
-            ))
-            self.telemetry.emit(make_event(
-                "requeue", unit=unit_id, attempt=attempts,
-            ))
-
-    def _requeue_expired(
-        self, lease_ages: Dict[str, Optional[float]]
-    ) -> List[WorkResult]:
-        """Re-enqueue outstanding units whose lease went stale.
-
-        Collect-before-requeue is decided *on the coordinator*: the
-        ``/requeue`` call is refused (``has_result``) when a result
-        landed since the poll — the slow worker finished — and the
-        unit is collected here instead of burning an attempt.
-        """
-        collected: List[WorkResult] = []
-        for unit_id in list(self._outstanding):
-            age = lease_ages.get(unit_id)
-            if age is None:
-                continue
-            if age <= self.lease_timeout:
-                # Early warning: the lease aged past half its window
-                # without a heartbeat — same one-event-per-attempt
-                # tripwire as the filesystem backend.
-                if (self.telemetry is not None
-                        and age > self.lease_timeout / 2.0):
-                    key = (unit_id, self._attempts[unit_id])
-                    if key not in self._gap_warned:
-                        self._gap_warned.add(key)
-                        self.telemetry.emit(make_event(
-                            "heartbeat_gap", unit=unit_id,
-                            age=round(age, 3),
-                            attempt=self._attempts[unit_id],
-                        ))
-                continue
-            attempts = self._attempts[unit_id] + 1
-            if attempts > self.max_attempts:
-                raise RuntimeError(
-                    f"unit {unit_id} "
-                    f"({self._outstanding[unit_id].label}): lease "
-                    f"expired and the {self.max_attempts}-attempt "
-                    "budget is exhausted (workers keep dying "
-                    "mid-unit?)"
-                )
-            answer = self._call_json(
-                "POST", f"/requeue/{unit_id}",
-                json_body=self._task_doc(
-                    self._outstanding[unit_id], attempt=attempts
-                ),
-            )
-            if answer.get("has_result"):
-                result = self._collect(unit_id)
-                if result is not None:
-                    collected.append(result)
-                continue
-            if self.telemetry is not None:
-                self.telemetry.emit(make_event(
-                    "lease_expired", unit=unit_id,
-                    age=round(age, 3),
-                    attempt=self._attempts[unit_id],
-                ))
-                self.telemetry.emit(make_event(
-                    "requeue", unit=unit_id, attempt=attempts,
-                ))
-            self._attempts[unit_id] = attempts
-        return collected
-
-    # -- teardown ------------------------------------------------------------
-
-    def cancel(self) -> None:
-        self.cancel_units(list(self._outstanding))
-
-    def cancel_units(self, unit_ids: Iterable[str]) -> None:
-        ids = [u for u in unit_ids if u in self._outstanding]
-        if not ids:
-            return
-        answer = self._call_json(
-            "POST", "/cancel", json_body={"unit_ids": ids}
-        )
-        removed = answer.get("removed", {})
-        for unit_id in ids:
-            stages = removed.get(unit_id, {})
-            # Same straggler reasoning as WorkQueueBackend: only track
-            # ids a live worker might still publish.
-            straggler_possible = (
-                self._attempts[unit_id] > 1
-                or (not stages.get("task") and not stages.get("result"))
-            )
-            if straggler_possible:
-                self._cancelled_ids.add(unit_id)
-            del self._outstanding[unit_id]
-            del self._attempts[unit_id]
-
-    def close(self) -> None:
-        if self._procs:
-            try:
-                self._call_json("POST", "/stop")
-            except Exception:
-                pass  # coordinator gone: terminate the pool directly
-            deadline = time.monotonic() + 10.0
-            for proc in self._procs:
-                _stop_proc(proc, deadline)
-            self._procs = []
-        if self._cancelled_ids:
-            try:
-                self._call_json(
-                    "POST", "/poll",
-                    json_body={
-                        "unit_ids": [],
-                        "cancelled": list(self._cancelled_ids),
-                    },
-                )
-            except Exception:
-                pass
-            self._cancelled_ids = set()

@@ -1,4 +1,4 @@
-"""Filesystem work queue: shard dispatch to independent workers.
+"""The work queue: one dispatcher and one worker loop over two transports.
 
 The queue is a directory (local disk for multi-process runs, a shared
 filesystem for multi-host ones) with one subdirectory per lifecycle
@@ -9,32 +9,75 @@ stage::
       leases/   <unit_id>.json   claimed unit; file mtime = heartbeat
       results/  <unit_id>.pkl    completed unit (payload or error)
       workers/  <worker_id>.*    worker heartbeat/log files (diagnostics)
+      corrupt/  <file>.<ns>      quarantined torn documents (evidence)
       stop                       sentinel: workers drain and exit
 
 Every file appears atomically (write to a temp name + fsync +
 ``os.replace``), so readers never observe a torn document no matter
-when a writer dies.
+when a writer dies.  **Claiming** is a single ``os.rename`` from
+``tasks/`` to ``leases/`` — exactly one worker wins, no locks — and
+the claimant's id and host are stamped into the lease before the doc
+is handed out.
 
-**Claiming** is a single ``os.rename`` from ``tasks/`` to ``leases/``
-— exactly one worker wins, no locks.  While executing, the worker
-touches its lease file every ``heartbeat`` seconds (the interval rides
-in the task doc, derived from the dispatcher's ``lease_timeout``).
+A :class:`QueueTransport` carries the queue's primitives (submit,
+poll, collect, requeue, cancel, claim, heartbeat, publish).  Two
+implement it: :class:`FsTransport` works on the directory itself, and
+:class:`~repro.backends.coordinator.HttpTransport` makes each
+primitive one call to a ``repro coordinator``, which runs the same
+:class:`FsTransport` under its lock.  Everything above the transport
+exists once: :class:`QueueBackend` (the dispatcher),
+:func:`worker_loop` (``repro worker --queue`` and ``--coordinator``),
+:class:`_Heartbeat` and :class:`WorkerLauncher`.
 
-**Dead workers**: the dispatcher re-enqueues any claimed unit whose
-lease goes stale (no heartbeat for ``lease_timeout`` seconds) by
-moving its doc back to ``tasks/`` with an incremented attempt count,
-up to ``max_attempts``.  Unit payloads are pure functions of the wire
-doc, so a re-run — even racing a worker that was merely slow, not
-dead — produces bit-identical bytes; whichever result lands first is
-used.
+Failure semantics
+-----------------
 
-**Clean failures** (an execution raising) are *not* retried: the
-worker writes an error result and the dispatcher raises it, because a
-deterministic unit that failed once will fail again.
+Every rule below holds on both transports (``tests/test_queue_faults``
+runs each one over both).
 
-Workers are started with ``repro worker --queue DIR`` (see
-:func:`worker_loop`) or spawned by the dispatcher itself
-(``spawn_workers=N``).
+* **Dead worker (expired lease).**  A claimed unit whose lease has not
+  been touched for ``lease_timeout`` seconds is presumed dead.  The
+  dispatcher first collects a result that landed for it (a slow
+  worker, not a dead one, must never burn an attempt).  Otherwise it
+  journals ``lease_expired``, checks the ``max_attempts`` budget, and
+  requeues the unit with an incremented attempt.  The transport still
+  refuses the requeue if a result lands in between, and the dispatcher
+  collects that instead.  A lease older than half the timeout journals
+  one ``heartbeat_gap`` early warning per attempt.
+* **Corrupt result** (a torn write on the queue disk).  The document
+  is quarantined to ``corrupt/`` (the evidence is kept, never
+  re-parsed), ``quarantine`` is journaled with its path, the budget is
+  checked, and the unit is requeued.  On an exhausted budget the
+  requeue is withdrawn again and the error names the quarantined path.
+* **Clean failure** (an execution raising) is not retried: the worker
+  publishes the traceback and the dispatcher raises it, because a
+  deterministic unit that failed once will fail again.
+* **Lost lease.**  If a heartbeat finds the lease gone or owned by
+  another worker (requeued, cancelled), the worker does not publish;
+  the successor computes the identical payload.  Publishing is
+  attempt-checked on both transports: a result is accepted only while
+  the unit's current doc carries the attempt that computed it, so a
+  slow predecessor's late post is dropped.
+* **Heartbeat-thread death** aborts the unit too.  On the filesystem
+  the dying thread also marks the lease doc ``heartbeat_alive: false``
+  and forces its mtime stale, so the dispatcher requeues at once.
+* **Cancel.**  Task, lease and any landed result are removed.  A
+  worker still executing a cancelled unit loses its lease; a straggler
+  result that lands anyway is swept at the next poll and at
+  :meth:`QueueBackend.close`.
+* **Over HTTP** three more faults exist, and none reaches the rules
+  above: client calls ride out connection errors (a coordinator
+  restarting) with capped, jittered exponential backoff for
+  ``retry_timeout`` seconds; a result upload whose body arrives short
+  writes nothing (the lease then expires as for a dead worker); and a
+  claim the coordinator was killed inside, before stamping it, is
+  handed out again when the coordinator restarts.
+
+Payloads are pure functions of the wire doc, so any retry reproduces
+the same bytes.  Workers are started with ``repro worker --queue DIR``
+or ``--coordinator URL``, or spawned by the dispatcher itself
+(``spawn_workers=N``, or the elastic ``max_workers`` pool on a
+filesystem queue).
 """
 
 from __future__ import annotations
@@ -57,6 +100,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -70,6 +114,7 @@ from repro.backends.base import (
 )
 from repro.common.fsio import atomic_write_bytes
 from repro.telemetry.events import make_event
+from repro.telemetry.status import queue_dir_status
 
 TASKS_DIR = "tasks"
 LEASES_DIR = "leases"
@@ -134,6 +179,24 @@ def _result_path(queue_dir: str, unit_id: str) -> str:
     return os.path.join(queue_dir, RESULTS_DIR, unit_id + ".pkl")
 
 
+def _unlink(path: str) -> bool:
+    """Remove ``path``; whether it existed."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        return False
+    return True
+
+
+def _read_json(path: str) -> Optional[Dict[str, Any]]:
+    """A queue JSON doc, or None when missing or torn."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError):
+        return None
+
+
 def quarantine_file(queue_dir: str, path: str) -> Optional[str]:
     """Move a corrupt queue document into ``corrupt/``; its new path.
 
@@ -156,79 +219,9 @@ def quarantine_file(queue_dir: str, path: str) -> Optional[str]:
     return target
 
 
-# -- worker side -------------------------------------------------------------
-
-
 def _touch(path: str) -> None:
     """Refresh a heartbeat file's mtime (separable for fault tests)."""
     os.utime(path)
-
-
-class _Heartbeat:
-    """Touches a lease file on a background thread while a unit runs,
-    so the dispatcher can tell a slow worker from a dead one.
-
-    Thread death is **not** silent: if the beat loop raises, the
-    thread records its own demise in the lease doc
-    (``heartbeat_alive: false``) and forces the lease mtime stale, so
-    the dispatcher re-enqueues promptly instead of waiting out the
-    full lease timeout — and the worker observes :attr:`failed` and
-    aborts the unit instead of publishing a result for a lease it no
-    longer keeps alive (the re-enqueued attempt recomputes the
-    identical payload).  Without this, a dead heartbeat under a
-    healthy worker meant the dispatcher re-enqueued a unit that was
-    still executing, and nobody ever learned why.
-    """
-
-    def __init__(self, path: str, interval: float) -> None:
-        self._path = path
-        self._interval = max(0.05, interval)
-        self._stop = threading.Event()
-        #: Set when the beat thread died unexpectedly: the lease can
-        #: no longer be trusted to stay fresh.
-        self.failed = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        try:
-            while not self._stop.wait(self._interval):
-                try:
-                    _touch(self._path)
-                except FileNotFoundError:
-                    # The dispatcher re-enqueued (or the run was torn
-                    # down); nothing left to keep alive.
-                    return
-                except OSError:
-                    # Transient filesystem hiccup (NFS, EIO): keep
-                    # beating — exiting here would make a healthy
-                    # worker look dead and burn an attempt for
-                    # nothing.
-                    continue
-        except BaseException:
-            self._mark_dead()
-
-    def _mark_dead(self) -> None:
-        """Record the thread's death in the lease doc and go stale."""
-        self.failed.set()
-        try:
-            with open(self._path) as handle:
-                doc = json.load(handle)
-            doc["heartbeat_alive"] = False
-            atomic_write_bytes(self._path, json.dumps(doc).encode())
-            # Force the mtime stale so the dispatcher's age check
-            # expires the lease on its next poll (the doc rewrite
-            # above would otherwise have *refreshed* it).
-            os.utime(self._path, (0.0, 0.0))
-        except (OSError, ValueError):
-            pass  # best effort — the stale mtime will expire eventually
-
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        self._thread.join()
 
 
 def _claim_next(queue_dir: str) -> Optional[str]:
@@ -292,17 +285,14 @@ def _release_lease(lease_path: str, worker_id: str) -> None:
     except (OSError, ValueError):
         owner = None  # torn/corrupt capture: treat as not provably ours
     if owner == worker_id:
-        try:
-            os.unlink(tombstone)
-        except FileNotFoundError:
-            pass
+        _unlink(tombstone)
         return
     # Someone else's lease (or an unstamped claim): restore it.  The
     # capture window is a few syscalls wide; a successor heartbeat
-    # touching the momentarily-missing path merely skips one beat.  If
-    # the successor re-wrote the path meanwhile (its ownership stamp),
-    # the newer doc wins and the stale capture is dropped instead of
-    # renamed over it.
+    # finding the path momentarily missing reads its lease as lost.
+    # If the successor re-wrote the path meanwhile (its ownership
+    # stamp), the newer doc wins and the stale capture is dropped
+    # instead of renamed over it.
     try:
         if os.path.exists(lease_path):
             os.unlink(tombstone)
@@ -312,15 +302,377 @@ def _release_lease(lease_path: str, worker_id: str) -> None:
         pass
 
 
+# -- transports --------------------------------------------------------------
+
+
+class QueueTransport:
+    """The queue primitives the dispatcher and the workers build on.
+
+    Dispatcher side: :meth:`submit`, :meth:`poll`, :meth:`read_result`,
+    :meth:`delete_result`, :meth:`requeue`, :meth:`cancel`,
+    :meth:`set_stop` and :meth:`stats`.  Worker side: :meth:`claim`,
+    :meth:`heartbeat`, :meth:`post_result` and :meth:`mark_dead`.
+    Docs are plain JSON dicts and results pickled bytes, so the HTTP
+    transport forwards them unchanged.
+    """
+
+    #: ``repro worker`` arguments that join this queue.
+    worker_args: List[str]
+
+    def describe(self) -> str:
+        """What this transport serves, for log lines."""
+        raise NotImplementedError
+
+    def spawn_log_dir(self) -> str:
+        """Where locally spawned workers write their logs."""
+        raise NotImplementedError
+
+    def submit(self, doc: Dict[str, Any]) -> None:
+        """Enqueue a task doc, sweeping the id's stale files first
+        (unit ids are deterministic, so a reused queue may hold an
+        earlier campaign's leftovers under the same id)."""
+        raise NotImplementedError
+
+    def poll(
+        self, unit_ids: Sequence[str], cancelled: Sequence[str]
+    ) -> Dict[str, Any]:
+        """One dispatcher round: ``ready`` (ids with a result),
+        ``lease_ages`` (seconds, None when unclaimed) and ``swept``
+        (cancelled ids whose straggler result was removed)."""
+        raise NotImplementedError
+
+    def read_result(self, unit_id: str) -> Optional[bytes]:
+        """The result document's bytes, or None when absent."""
+        raise NotImplementedError
+
+    def delete_result(self, unit_id: str) -> bool:
+        """Consume a result plus any task/lease litter for the id."""
+        raise NotImplementedError
+
+    def requeue(
+        self, unit_id: str, doc: Dict[str, Any], quarantine: bool
+    ) -> Dict[str, Any]:
+        """Replace the unit's lease by a fresh task doc.
+
+        Refused (``has_result``) when a result has landed — unless
+        ``quarantine``, which moves that (corrupt) result to
+        ``corrupt/`` first and reports its path as ``quarantined``.
+        """
+        raise NotImplementedError
+
+    def cancel(self, unit_ids: Sequence[str]) -> Dict[str, Dict[str, bool]]:
+        """Remove each unit's task, lease and result; which existed."""
+        raise NotImplementedError
+
+    def set_stop(self, stopped: bool) -> None:
+        """Write (or remove) the queue-wide stop sentinel."""
+        raise NotImplementedError
+
+    def stats(self) -> Dict[str, Any]:
+        """Queue depths and live workers per host (``GET /stats``)."""
+        raise NotImplementedError
+
+    def claim(self, worker_id: str, host: str) -> Dict[str, Any]:
+        """The next task doc (``unit``, stamped with ``worker`` and
+        ``host``), or a ``stop``/``retire`` verdict."""
+        raise NotImplementedError
+
+    def heartbeat(self, unit_id: str, worker_id: str) -> bool:
+        """Refresh the lease; False once it is gone or another
+        worker's.  Raises OSError when the answer is unknown."""
+        raise NotImplementedError
+
+    def post_result(
+        self, unit_id: str, worker_id: str, attempt: int, body: bytes
+    ) -> bool:
+        """Publish a result; False when ``attempt`` is stale, the unit
+        is gone or a result already landed."""
+        raise NotImplementedError
+
+    def mark_dead(self, unit_id: str) -> None:
+        """Record that this worker's heartbeat thread died."""
+        raise NotImplementedError
+
+
+class FsTransport(QueueTransport):
+    """The queue directory itself.
+
+    Each method is a short sequence of atomic file operations.  The
+    filesystem backend and worker call it directly; the coordinator
+    (:class:`~repro.backends.coordinator.CoordinatorState`) calls it
+    under one lock, which makes each compound step — the attempt check
+    and the result write, a requeue and the result it checks for —
+    atomic over HTTP too.  It keeps no state outside the directory, so
+    a restarted coordinator rebuilds its whole world from disk.
+    """
+
+    def __init__(self, queue_dir: str, *, worker_fresh: float = 5.0) -> None:
+        self.queue_dir = queue_dir
+        #: Seconds within which a ``workers/<id>.json`` mtime counts
+        #: as a live idle worker in :meth:`stats` (busy workers
+        #: advertise through their stamped lease instead).
+        self.worker_fresh = worker_fresh
+        self.worker_args = ["--queue", queue_dir]
+        ensure_queue_dirs(queue_dir)
+
+    def describe(self) -> str:
+        return f"queue {self.queue_dir}"
+
+    def spawn_log_dir(self) -> str:
+        return os.path.join(self.queue_dir, WORKERS_DIR)
+
+    def _paths(self, unit_id: str) -> Tuple[str, str, str]:
+        return (
+            _task_path(self.queue_dir, unit_id),
+            _lease_path(self.queue_dir, unit_id),
+            _result_path(self.queue_dir, unit_id),
+        )
+
+    # -- dispatcher side -----------------------------------------------------
+
+    def submit(self, doc: Dict[str, Any]) -> None:
+        unit_id = str(doc["unit_id"])
+        for stale in self._paths(unit_id):
+            _unlink(stale)
+        atomic_write_bytes(
+            _task_path(self.queue_dir, unit_id), json.dumps(doc).encode()
+        )
+
+    def poll(
+        self, unit_ids: Sequence[str], cancelled: Sequence[str]
+    ) -> Dict[str, Any]:
+        # One result probe and one lease stat per outstanding unit:
+        # this runs every poll interval for the whole campaign.
+        ready: List[str] = []
+        lease_ages: Dict[str, Optional[float]] = {}
+        now = time.time()
+        for unit_id in unit_ids:
+            if os.path.exists(_result_path(self.queue_dir, unit_id)):
+                ready.append(unit_id)
+            try:
+                mtime = os.stat(_lease_path(self.queue_dir, unit_id)).st_mtime
+                lease_ages[unit_id] = now - mtime
+            except OSError:
+                lease_ages[unit_id] = None
+        swept = [
+            unit_id for unit_id in cancelled
+            if _unlink(_result_path(self.queue_dir, unit_id))
+        ]
+        return {"ready": ready, "lease_ages": lease_ages, "swept": swept}
+
+    def read_result(self, unit_id: str) -> Optional[bytes]:
+        try:
+            with open(_result_path(self.queue_dir, unit_id), "rb") as f:
+                return f.read()
+        except OSError:
+            return None
+
+    def delete_result(self, unit_id: str) -> bool:
+        task, lease, result = self._paths(unit_id)
+        removed = _unlink(result)
+        _unlink(lease)
+        _unlink(task)
+        return removed
+
+    def requeue(
+        self, unit_id: str, doc: Dict[str, Any], quarantine: bool
+    ) -> Dict[str, Any]:
+        task, lease, result = self._paths(unit_id)
+        quarantined = None
+        if os.path.exists(result):
+            if not quarantine:
+                return {"requeued": False, "has_result": True}
+            quarantined = quarantine_file(self.queue_dir, result)
+        _unlink(lease)
+        atomic_write_bytes(task, json.dumps(doc).encode())
+        return {
+            "requeued": True, "has_result": False,
+            "quarantined": quarantined,
+        }
+
+    def cancel(self, unit_ids: Sequence[str]) -> Dict[str, Dict[str, bool]]:
+        removed: Dict[str, Dict[str, bool]] = {}
+        for unit_id in unit_ids:
+            task, lease, result = self._paths(unit_id)
+            removed[unit_id] = {
+                "task": _unlink(task),
+                "lease": _unlink(lease),
+                "result": _unlink(result),
+            }
+        return removed
+
+    def set_stop(self, stopped: bool) -> None:
+        if stopped:
+            atomic_write_bytes(_stop_path(self.queue_dir), b"")
+        else:
+            _unlink(_stop_path(self.queue_dir))
+
+    def stats(self) -> Dict[str, Any]:
+        doc = queue_dir_status(
+            self.queue_dir, heartbeat_fresh=self.worker_fresh
+        )
+        return {
+            "queue_dir": self.queue_dir,
+            "tasks": doc["tasks"],
+            "leases": len(doc["leases"]),
+            "results": doc["results"],
+            "stopped": doc["stopped"],
+            "workers_by_host": doc["workers_by_host"],
+        }
+
+    # -- worker side ---------------------------------------------------------
+
+    def claim(self, worker_id: str, host: str) -> Dict[str, Any]:
+        info_path = _worker_info_path(self.queue_dir, worker_id)
+        stop = os.path.exists(_stop_path(self.queue_dir))
+        if stop or os.path.exists(
+            _worker_stop_path(self.queue_dir, worker_id)
+        ):
+            _unlink(_worker_stop_path(self.queue_dir, worker_id))
+            _unlink(info_path)
+            return {"unit": None, "stop": stop, "retire": not stop}
+        idle = {"unit": None, "stop": False, "retire": False}
+        # The claim poll doubles as the worker's idle liveness beat.
+        try:
+            os.utime(info_path)
+        except OSError:
+            atomic_write_bytes(info_path, json.dumps({
+                "worker_id": worker_id, "host": host,
+                "started": time.time(),
+            }).encode())
+        unit_id = _claim_next(self.queue_dir)
+        if unit_id is None:
+            return idle
+        lease_path = _lease_path(self.queue_dir, unit_id)
+        doc = _read_json(lease_path)
+        if doc is None:
+            # The claim lost a race with a requeue or cancel (the
+            # renamed task kept its old, possibly stale, mtime).
+            return idle
+        # Stamp ownership before the doc is handed out, so a slow
+        # predecessor finishing late cannot tear down this lease.
+        doc["worker"] = worker_id
+        doc["host"] = host
+        atomic_write_bytes(lease_path, json.dumps(doc).encode())
+        return dict(idle, unit=doc)
+
+    def heartbeat(self, unit_id: str, worker_id: str) -> bool:
+        lease_path = _lease_path(self.queue_dir, unit_id)
+        try:
+            with open(lease_path) as handle:
+                owner = json.load(handle).get("worker")
+            if owner != worker_id:
+                return False
+            _touch(lease_path)
+        except (FileNotFoundError, ValueError):
+            return False
+        return True
+
+    def post_result(
+        self, unit_id: str, worker_id: str, attempt: int, body: bytes
+    ) -> bool:
+        # Accepted only while no result is on disk and the unit's
+        # current doc — its lease, or its task file if it was
+        # requeued but not yet re-claimed — carries the posting
+        # attempt.  A requeue increments the attempt, so a slow
+        # predecessor's late post is dropped without touching the
+        # successor's lease; a unit with no doc at all was cancelled
+        # or already collected.
+        task, lease, result = self._paths(unit_id)
+        if os.path.exists(result):
+            return False
+        doc = _read_json(lease) or _read_json(task)
+        if doc is None or int(doc.get("attempt", 1)) != attempt:
+            return False
+        atomic_write_bytes(result, body)
+        _release_lease(lease, worker_id)
+        return True
+
+    def mark_dead(self, unit_id: str) -> None:
+        """Mark the lease doc ``heartbeat_alive: false`` and force its
+        mtime stale, so the dispatcher requeues on its next poll
+        instead of waiting out the whole lease timeout."""
+        lease_path = _lease_path(self.queue_dir, unit_id)
+        try:
+            with open(lease_path) as handle:
+                doc = json.load(handle)
+            doc["heartbeat_alive"] = False
+            atomic_write_bytes(lease_path, json.dumps(doc).encode())
+            # The rewrite above refreshed the mtime; age it again.
+            os.utime(lease_path, (0.0, 0.0))
+        except (OSError, ValueError):
+            pass  # best effort — the stale mtime will expire eventually
+
+
+# -- worker side -------------------------------------------------------------
+
+
+class _Heartbeat:
+    """Keeps one claimed unit's lease fresh on a background thread
+    while it runs, so the dispatcher can tell a slow worker from a
+    dead one.
+
+    A beat ends one of three ways.  The transport answers that the
+    lease is gone or another worker's: :attr:`lost` is set and the
+    beating stops.  It raises OSError (a filesystem hiccup, a
+    coordinator restarting): the beat is skipped, because giving up
+    would make a healthy worker look dead.  Anything else kills the
+    thread, and that death is not silent: :attr:`failed` is set and
+    the transport marks the lease dead.  On either verdict the worker
+    does not publish; the requeued attempt recomputes the identical
+    payload.
+    """
+
+    def __init__(
+        self,
+        transport: QueueTransport,
+        unit_id: str,
+        worker_id: str,
+        interval: float,
+    ) -> None:
+        self._transport = transport
+        self._unit_id = unit_id
+        self._worker_id = worker_id
+        self._interval = max(0.05, interval)
+        self._stop = threading.Event()
+        #: Set when the lease is no longer this worker's.
+        self.lost = threading.Event()
+        #: Set when the beat thread died unexpectedly: the lease can
+        #: no longer be trusted to stay fresh.
+        self.failed = threading.Event()
+        self._thread = threading.Thread(target=self._run, daemon=True)
+
+    def _run(self) -> None:
+        try:
+            while not self._stop.wait(self._interval):
+                try:
+                    alive = self._transport.heartbeat(
+                        self._unit_id, self._worker_id
+                    )
+                except OSError:
+                    continue
+                if not alive:
+                    self.lost.set()
+                    return
+        except Exception:
+            self.failed.set()
+            self._transport.mark_dead(self._unit_id)
+
+    def __enter__(self) -> "_Heartbeat":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop.set()
+        self._thread.join()
+
+
 def run_unit_doc(doc: Dict[str, Any], worker_id: str) -> Dict[str, Any]:
     """Execute one wire-form unit doc; the result doc to publish.
 
-    The single execution path every worker transport shares (the
-    filesystem queue's :func:`_execute_claimed` and the HTTP worker in
-    :mod:`repro.backends.coordinator`): kind-module side-effect import,
-    payload computation, and clean-failure capture — so a unit doc
-    produces byte-identical result docs no matter which transport
-    delivered it.
+    Kind-module side-effect import, payload computation, and
+    clean-failure capture — so a unit doc produces byte-identical
+    result docs no matter which transport delivered it.
     """
     result: Dict[str, Any] = {
         "worker": worker_id,
@@ -349,47 +701,8 @@ def run_unit_doc(doc: Dict[str, Any], worker_id: str) -> Dict[str, Any]:
     return result
 
 
-def _execute_claimed(
-    queue_dir: str, unit_id: str, worker_id: str
-) -> Optional[bool]:
-    """Run one claimed unit and publish its result.
-
-    True/False for success/failure; None when the claim was lost
-    before execution (the dispatcher re-enqueued the unit between the
-    claim rename and this read — possible when the task file sat
-    unclaimed past the lease timeout, since the rename preserves its
-    stale mtime).
-    """
-    lease_path = _lease_path(queue_dir, unit_id)
-    try:
-        with open(lease_path) as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        return None
-    # Stamp ownership (and refresh the heartbeat) so a slow
-    # predecessor finishing late cannot tear down this lease.
-    doc["worker"] = worker_id
-    atomic_write_bytes(lease_path, json.dumps(doc).encode())
-    heartbeat = _Heartbeat(lease_path, float(doc.get("heartbeat", 5.0)))
-    with heartbeat:
-        result = run_unit_doc(doc, worker_id)
-    if heartbeat.failed.is_set():
-        # The beat thread died mid-unit: the lease went stale with us
-        # still executing, so the dispatcher has (or will) re-enqueue
-        # this unit to a healthy worker.  Abort — publishing now would
-        # claim an outcome for a lease we stopped keeping alive; the
-        # retry recomputes the identical payload.
-        return None
-    atomic_write_bytes(
-        _result_path(queue_dir, unit_id),
-        pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
-    )
-    _release_lease(lease_path, worker_id)
-    return bool(result["ok"])
-
-
 def worker_loop(
-    queue_dir: str,
+    transport: QueueTransport,
     *,
     worker_id: Optional[str] = None,
     poll_interval: float = 0.2,
@@ -398,60 +711,60 @@ def worker_loop(
 ) -> int:
     """The ``repro worker`` main loop; returns units executed.
 
-    Claims and executes units until the queue's ``stop`` sentinel (or
-    this worker's own ``workers/<id>.stop`` retirement sentinel)
-    appears or — when ``max_idle`` is set — no work arrived for that
-    many seconds.  Both sentinels are checked only between units, so a
-    draining worker always finishes the lease it holds.  The worker's
-    ``workers/<id>.json`` info file doubles as a liveness heartbeat
-    (touched every loop iteration while idle; a busy worker's
-    liveness shows in its lease instead).  Workers are stateless:
-    everything a unit needs rides in its task document, so any number
-    of workers on any hosts sharing the directory can serve one
-    campaign.
+    Claims and executes units until the claim answers ``stop`` (the
+    queue-wide sentinel) or ``retire`` (this worker's own
+    ``workers/<id>.stop``), or — when ``max_idle`` is set — no work
+    arrived for that many seconds.  Both sentinels are checked only
+    between units, so a draining worker always finishes the lease it
+    holds.  Each claim also refreshes the worker's ``workers/<id>.json``
+    info file, its liveness beat while idle (a busy worker's liveness
+    shows in its lease).  Workers are stateless: everything a unit
+    needs rides in its task doc, so any number of workers on any
+    hosts can serve one campaign.
     """
     worker_id = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    ensure_queue_dirs(queue_dir)
-    info_path = _worker_info_path(queue_dir, worker_id)
-    atomic_write_bytes(
-        info_path,
-        json.dumps({
-            "worker_id": worker_id,
-            "host": socket.gethostname(),
-            "pid": os.getpid(),
-            "started": time.time(),
-        }).encode(),
-    )
+    host = _host_label()
     if echo:
-        print(f"[worker {worker_id}] serving queue {queue_dir}",
+        print(f"[worker {worker_id}] serving {transport.describe()}",
               file=sys.stderr, flush=True)
     executed = 0
     idle_since = time.monotonic()
     while True:
-        if os.path.exists(_stop_path(queue_dir)):
-            break
-        if os.path.exists(_worker_stop_path(queue_dir, worker_id)):
-            if echo:
+        answer = transport.claim(worker_id, host)
+        if answer["stop"] or answer["retire"]:
+            if echo and answer["retire"]:
                 print(f"[worker {worker_id}] retiring on request",
                       file=sys.stderr, flush=True)
             break
-        try:
-            os.utime(info_path)
-        except OSError:
-            pass  # liveness is advisory; the loop matters more
-        unit_id = _claim_next(queue_dir)
-        if unit_id is None:
+        doc = answer["unit"]
+        if doc is None:
             if (max_idle is not None
                     and time.monotonic() - idle_since > max_idle):
                 break
             time.sleep(poll_interval)
             continue
-        ok = _execute_claimed(queue_dir, unit_id, worker_id)
-        if ok is None:
-            continue  # claim lost to a re-enqueue race; move on
+        unit_id = str(doc["unit_id"])
+        heartbeat = _Heartbeat(
+            transport, unit_id, worker_id,
+            float(doc.get("heartbeat", 5.0)),
+        )
+        with heartbeat:
+            result = run_unit_doc(doc, worker_id)
+        if heartbeat.lost.is_set() or heartbeat.failed.is_set():
+            # The lease was taken away (requeued, cancelled) or we
+            # stopped keeping it alive: a successor owns the unit.
+            if echo:
+                print(f"[worker {worker_id}] {unit_id}: aborted "
+                      "(lease lost)", file=sys.stderr, flush=True)
+            continue
+        accepted = transport.post_result(
+            unit_id, worker_id, result["attempt"],
+            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
+        )
         if echo:
-            status = "done" if ok else "FAILED"
-            print(f"[worker {worker_id}] {unit_id}: {status}",
+            verdict = ("done" if result["ok"] else "FAILED") \
+                if accepted else "dropped (stale attempt)"
+            print(f"[worker {worker_id}] {unit_id}: {verdict}",
                   file=sys.stderr, flush=True)
         executed += 1
         idle_since = time.monotonic()
@@ -523,14 +836,16 @@ def _cleanup_worker_files(queue_dir: str, worker_id: str) -> None:
 
 
 def _spawn_worker_process(
-    queue_dir: str, worker_id: str, poll_interval: float
+    worker_args: Sequence[str], worker_id: str, poll_interval: float,
+    log_dir: str,
 ) -> "tuple[subprocess.Popen, str]":
-    """Start one ``repro worker`` subprocess serving ``queue_dir``.
+    """Start one local ``repro worker <worker_args>`` subprocess.
 
     Returns ``(process, log path)``; the worker's stdout/stderr land in
-    ``workers/<id>.log`` for post-mortem diagnostics.
+    ``<log_dir>/<id>.log`` for post-mortem diagnostics.
     """
-    log_path = os.path.join(queue_dir, WORKERS_DIR, worker_id + ".log")
+    os.makedirs(log_dir, exist_ok=True)
+    log_path = os.path.join(log_dir, worker_id + ".log")
     env = dict(os.environ)
     # Guarantee the child resolves `repro` exactly as we do, even when
     # the package is importable only via sys.path mutations (pytest
@@ -540,8 +855,7 @@ def _spawn_worker_process(
     try:
         proc = subprocess.Popen(
             [
-                sys.executable, "-m", "repro", "worker",
-                "--queue", queue_dir,
+                sys.executable, "-m", "repro", "worker", *worker_args,
                 "--worker-id", worker_id,
                 "--poll", str(poll_interval),
             ],
@@ -555,44 +869,29 @@ def _spawn_worker_process(
 
 
 class WorkerLauncher:
-    """Where and how an :class:`ElasticSupervisor` starts one worker.
+    """Starts local ``repro worker`` subprocesses for one queue.
 
-    The supervisor's scaling loop is transport-agnostic: it decides
-    *when* the pool grows or drains from queue pressure, and delegates
-    *how* a worker process comes to exist to a launcher.  A launcher
-    is host-aware (:attr:`host` labels where its workers run) so fleet
-    stats can aggregate per host; today's launchers start local
-    subprocesses — one serving a queue directory, one joining a
-    coordinator over HTTP — and the same seam is where SSH/container
-    launchers plug in without touching the scaling logic.
+    ``worker_args`` picks the transport the workers join —
+    ``["--queue", DIR]`` or ``["--coordinator", URL]``, a transport's
+    :attr:`~QueueTransport.worker_args` — and ``log_dir`` receives
+    their logs.  The :class:`ElasticSupervisor` decides *when* the
+    pool grows or drains from queue pressure and delegates *how* a
+    worker comes to exist to its launcher; :attr:`host` labels where
+    the workers run, so fleet stats can aggregate per host.
     """
 
-    #: Host label the launched workers run on (fleet-stats key).
-    host: str = "localhost"
-
-    def launch(
-        self, worker_id: str, poll_interval: float
-    ) -> "tuple[subprocess.Popen, str]":
-        """Start one worker; ``(process handle, log path)``."""
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        return f"{type(self).__name__} on {self.host}"
-
-
-class QueueWorkerLauncher(WorkerLauncher):
-    """Launches local ``repro worker --queue DIR`` subprocesses — the
-    original (and default) launcher for filesystem-served queues."""
-
-    def __init__(self, queue_dir: str) -> None:
-        self.queue_dir = queue_dir
+    def __init__(self, worker_args: Sequence[str], log_dir: str) -> None:
+        self.worker_args = list(worker_args)
+        self.log_dir = log_dir
+        #: Host label the launched workers run on (fleet-stats key).
         self.host = _host_label()
 
     def launch(
         self, worker_id: str, poll_interval: float
     ) -> "tuple[subprocess.Popen, str]":
+        """Start one worker; ``(process handle, log path)``."""
         return _spawn_worker_process(
-            self.queue_dir, worker_id, poll_interval
+            self.worker_args, worker_id, poll_interval, self.log_dir
         )
 
 
@@ -631,7 +930,7 @@ class ElasticSupervisor:
       lease mid-unit.
 
     Run it on a background thread (:meth:`start`/:meth:`shutdown`,
-    what :class:`WorkQueueBackend` does) or drive :meth:`tick`
+    what :class:`QueueBackend` does) or drive :meth:`tick`
     directly for deterministic tests.  Scaling only changes *when*
     units execute, never what they compute — payloads stay
     bit-identical at any pool size.
@@ -664,7 +963,10 @@ class ElasticSupervisor:
         #: subprocesses.
         self.launcher = (
             launcher if launcher is not None
-            else QueueWorkerLauncher(queue_dir)
+            else WorkerLauncher(
+                ["--queue", queue_dir],
+                os.path.join(queue_dir, WORKERS_DIR),
+            )
         )
         self.min_workers = min_workers
         self.max_workers = max_workers
@@ -1047,7 +1349,7 @@ class ElasticSupervisor:
         """Stop scaling and tear the pool down (idempotent).
 
         The caller is expected to have written the queue-wide stop
-        sentinel first (``WorkQueueBackend.close`` does), so workers
+        sentinel first (``QueueBackend.close`` does), so workers
         drain; stragglers are terminated, then killed.
         """
         self._stop.set()
@@ -1067,16 +1369,17 @@ class ElasticSupervisor:
 # -- dispatcher side ---------------------------------------------------------
 
 
-class WorkQueueBackend(ExecutionBackend):
-    """Dispatches units through a filesystem queue to ``repro worker``
-    processes, with lease-based failure recovery.
+class QueueBackend(ExecutionBackend):
+    """Dispatches units through a :class:`QueueTransport` to ``repro
+    worker`` processes, with lease-based failure recovery (see the
+    module's *Failure semantics*).
+
+    Build it through :class:`WorkQueueBackend` (a queue directory) or
+    :class:`~repro.backends.coordinator.HttpQueueBackend` (a
+    coordinator URL); both take the parameters below.
 
     Parameters
     ----------
-    queue_dir:
-        The queue directory (created if missing).  Share it between
-        the dispatcher and every worker — local path for same-host
-        workers, network filesystem for cross-host ones.
     lease_timeout:
         Seconds without a heartbeat after which a claimed unit's
         worker is presumed dead and the unit is re-enqueued.
@@ -1085,26 +1388,32 @@ class WorkQueueBackend(ExecutionBackend):
         fails; guards against a unit that keeps killing workers.
     spawn_workers:
         Convenience: start this many local ``repro worker`` processes
-        alongside the dispatcher (their logs land in
-        ``queue/workers/``); they are stopped again by :meth:`close`.
-        A *fixed* pool — for one that scales with queue pressure use
-        ``max_workers`` instead (the two are mutually exclusive).
+        on the same transport alongside the dispatcher; they are
+        stopped again by :meth:`close`.  A *fixed* pool — for one that
+        scales with queue pressure use ``max_workers`` instead (the
+        two are mutually exclusive).
     idle_timeout:
         Optional watchdog: raise if no completion arrived *and* no
         live lease was observed for this many seconds (e.g. nobody
         ever started a worker).  None waits forever.
     min_workers / max_workers:
-        Elastic mode: attach an :class:`ElasticSupervisor` that keeps
-        the spawned pool between the two bounds, growing it while
-        units queue and draining surplus workers (via per-worker stop
-        sentinels, so a retiring worker finishes its lease) once the
-        queue empties.  ``max_workers`` enables the mode;
-        ``min_workers`` defaults to 1.
+        Elastic mode (filesystem queues): attach an
+        :class:`ElasticSupervisor` that keeps the spawned pool between
+        the two bounds, growing it while units queue and draining
+        surplus workers (via per-worker stop sentinels, so a retiring
+        worker finishes its lease) once the queue empties.
+        ``max_workers`` enables the mode; ``min_workers`` defaults
+        to 1.
+    telemetry:
+        Optional :class:`repro.telemetry.sink.TelemetrySink` for the
+        fault-recovery events (heartbeat gaps, lease expiries,
+        requeues, quarantines, worker spawns); shared with the
+        attached elastic supervisor.
     """
 
     def __init__(
         self,
-        queue_dir: str,
+        transport: QueueTransport,
         *,
         lease_timeout: float = 60.0,
         poll_interval: float = 0.2,
@@ -1127,26 +1436,18 @@ class WorkQueueBackend(ExecutionBackend):
                 "spawn_workers (fixed pool) and max_workers (elastic "
                 "pool) are mutually exclusive"
             )
-        self.queue_dir = queue_dir
+        self.transport = transport
         self.lease_timeout = lease_timeout
         self.poll_interval = poll_interval
         self.max_attempts = max_attempts
         self.idle_timeout = idle_timeout
-        #: Optional :class:`repro.telemetry.sink.TelemetrySink` for
-        #: the queue's fault-recovery events (heartbeat gaps, lease
-        #: expiries, requeues, quarantines); shared with the attached
-        #: elastic supervisor.
         self.telemetry = telemetry
         #: ``(unit, attempt)`` pairs already warned about via a
         #: heartbeat_gap event — one early warning per delivery.
         self._gap_warned: Set[Tuple[str, int]] = set()
-        ensure_queue_dirs(queue_dir)
         # A stale sentinel from a previous campaign would make fresh
-        # workers exit immediately.
-        try:
-            os.unlink(_stop_path(queue_dir))
-        except FileNotFoundError:
-            pass
+        # workers exit on their first claim.
+        transport.set_stop(False)
         self._outstanding: Dict[str, WorkUnit] = {}
         self._attempts: Dict[str, int] = {}
         #: Cancelled unit ids whose straggler results must be swept.
@@ -1155,8 +1456,9 @@ class WorkQueueBackend(ExecutionBackend):
         self._log_paths: List[str] = []
         self.supervisor: Optional[ElasticSupervisor] = None
         if max_workers is not None:
+            # The supervisor reads queue pressure off the directory.
             self.supervisor = ElasticSupervisor(
-                queue_dir,
+                transport.queue_dir,
                 min_workers=1 if min_workers is None else min_workers,
                 max_workers=max_workers,
                 poll_interval=poll_interval,
@@ -1164,40 +1466,32 @@ class WorkQueueBackend(ExecutionBackend):
                 worker_poll=poll_interval,
                 telemetry=telemetry,
             ).start()
-        for index in range(spawn_workers):
-            self._spawn_worker(index)
+        if spawn_workers:
+            launcher = WorkerLauncher(
+                transport.worker_args, transport.spawn_log_dir()
+            )
+            for index in range(spawn_workers):
+                self._spawn_worker(launcher, index)
 
     # -- worker management ---------------------------------------------------
 
-    def _spawn_worker(self, index: int) -> None:
+    def _spawn_worker(self, launcher: WorkerLauncher, index: int) -> None:
         # Host-qualified for the same reason as the elastic ids: two
-        # dispatch hosts sharing one queue directory must not collide
-        # on a coincidental pid match.
-        worker_id = f"spawned-{_host_label()}-{os.getpid()}-{index}"
-        proc, log_path = _spawn_worker_process(
-            self.queue_dir, worker_id, self.poll_interval
-        )
+        # dispatch hosts sharing one queue must not collide on a
+        # coincidental pid match.
+        worker_id = f"spawned-{launcher.host}-{os.getpid()}-{index}"
+        proc, log_path = launcher.launch(worker_id, self.poll_interval)
         self._procs.append(proc)
         self._log_paths.append(log_path)
         if self.telemetry is not None:
             self.telemetry.emit(make_event(
-                "worker_spawn", worker=worker_id, host=_host_label(),
+                "worker_spawn", worker=worker_id, host=launcher.host,
             ))
 
-    def live_worker_count(self) -> Optional[int]:
-        """Workers serving the queue, or None when unknowable (no
-        spawned pool and no supervisor — externally-served queues
-        report through ``workers/`` heartbeats only, which this
-        dispatcher does not insist on)."""
-        if self.supervisor is not None:
-            return self.supervisor.live_worker_count()
-        if self._procs:
-            return sum(1 for proc in self._procs if proc.poll() is None)
-        return None
-
     def workers_by_host(self) -> Optional[Dict[str, int]]:
-        """Live workers per host, or None when unknowable (same
-        conditions as :meth:`live_worker_count`)."""
+        """Live workers per host: the elastic or spawned pool's own
+        view, else the transport's fleet stats (None when those
+        cannot be read)."""
         if self.supervisor is not None:
             return self.supervisor.workers_by_host()
         if self._procs:
@@ -1205,7 +1499,16 @@ class WorkQueueBackend(ExecutionBackend):
                 1 for proc in self._procs if proc.poll() is None
             )
             return {_host_label(): alive} if alive else {}
-        return None
+        try:
+            by_host = self.transport.stats().get("workers_by_host")
+        except Exception:
+            return None
+        return dict(by_host) if isinstance(by_host, dict) else None
+
+    def live_worker_count(self) -> Optional[int]:
+        """Workers serving the queue (see :meth:`workers_by_host`)."""
+        by_host = self.workers_by_host()
+        return None if by_host is None else sum(by_host.values())
 
     def _check_spawned(self) -> None:
         if not self._outstanding:
@@ -1227,38 +1530,21 @@ class WorkQueueBackend(ExecutionBackend):
 
     # -- submission ----------------------------------------------------------
 
-    def _task_doc(self, unit: WorkUnit, attempt: int) -> bytes:
+    def _task_doc(self, unit: WorkUnit, attempt: int) -> Dict[str, Any]:
         doc = unit.to_doc()
         doc["attempt"] = attempt
         # Workers heartbeat a few times per lease window so one missed
         # beat (scheduler hiccup, slow NFS) is not a death sentence.
         doc["heartbeat"] = max(0.05, self.lease_timeout / 4.0)
-        return json.dumps(doc).encode()
+        return doc
 
     def submit(self, unit: WorkUnit) -> None:
         if unit.unit_id in self._outstanding:
             raise ValueError(f"unit {unit.unit_id!r} already submitted")
-        # Unit ids are deterministic, so a reused queue directory may
-        # hold this id's leftovers from an earlier campaign (a
-        # consumed-then-raised error result, an orphaned lease, a
-        # cancelled task).  Sweep them, or completions() would replay
-        # the stale outcome instead of dispatching fresh work.
-        for stale in (
-            _result_path(self.queue_dir, unit.unit_id),
-            _lease_path(self.queue_dir, unit.unit_id),
-            _task_path(self.queue_dir, unit.unit_id),
-        ):
-            try:
-                os.unlink(stale)
-            except FileNotFoundError:
-                pass
         self._cancelled_ids.discard(unit.unit_id)
         self._outstanding[unit.unit_id] = unit
         self._attempts[unit.unit_id] = 1
-        atomic_write_bytes(
-            _task_path(self.queue_dir, unit.unit_id),
-            self._task_doc(unit, attempt=1),
-        )
+        self.transport.submit(self._task_doc(unit, attempt=1))
 
     # -- completion ----------------------------------------------------------
 
@@ -1266,18 +1552,31 @@ class WorkQueueBackend(ExecutionBackend):
         last_alive = time.monotonic()
         while self._outstanding:
             progressed = False
-            for unit_id in list(self._outstanding):
+            poll = self.transport.poll(
+                list(self._outstanding), list(self._cancelled_ids)
+            )
+            self._cancelled_ids.difference_update(poll["swept"])
+            lease_ages = poll["lease_ages"]
+            for unit_id in poll["ready"]:
+                if unit_id not in self._outstanding:
+                    continue  # cancelled while an earlier one yielded
                 result = self._collect(unit_id)
-                if result is not None:
-                    progressed = True
-                    yield result
-            # Expiry pass second: a result that landed while its lease
-            # was going stale is *collected* there, never re-enqueued.
-            for result in self._requeue_expired():
+                if result is None:
+                    # Quarantined and requeued: the polled lease age
+                    # describes the attempt that just ended.
+                    lease_ages.pop(unit_id, None)
+                    continue
                 progressed = True
                 yield result
-            self._sweep_cancelled()
-            if progressed or self._any_live_lease():
+            for result in self._requeue_expired(lease_ages):
+                progressed = True
+                yield result
+            any_live = any(
+                age is not None and age <= self.lease_timeout
+                for unit_id, age in lease_ages.items()
+                if unit_id in self._outstanding
+            )
+            if progressed or any_live:
                 last_alive = time.monotonic()
             if not self._outstanding:
                 break
@@ -1287,54 +1586,40 @@ class WorkQueueBackend(ExecutionBackend):
                         and time.monotonic() - last_alive
                         > self.idle_timeout):
                     raise RuntimeError(
-                        f"work queue idle for {self.idle_timeout:.0f}s "
-                        f"with {len(self._outstanding)} unit(s) "
-                        "outstanding — are any workers running? "
-                        f"(start one with: repro worker --queue "
-                        f"{self.queue_dir})"
+                        f"{self.transport.describe()} idle for "
+                        f"{self.idle_timeout:.0f}s with "
+                        f"{len(self._outstanding)} unit(s) outstanding "
+                        "— are any workers running? (start one with: "
+                        "repro worker "
+                        f"{' '.join(self.transport.worker_args)})"
                     )
                 time.sleep(self.poll_interval)
 
     def _collect(self, unit_id: str) -> Optional[WorkResult]:
-        path = _result_path(self.queue_dir, unit_id)
-        try:
-            with open(path, "rb") as handle:
-                doc = pickle.load(handle)
-        except FileNotFoundError:
+        """Collect an outstanding unit's landed result, if any."""
+        body = self.transport.read_result(unit_id)
+        if body is None:
             return None
+        unit = self._outstanding[unit_id]
+        try:
+            doc = pickle.loads(body)
         except Exception:
             # Truncated/corrupt result document (a torn write on a
             # non-atomic shared filesystem, disk trouble).  Treating
             # it as absent would re-parse and re-fail it on every poll
-            # forever — the dispatcher would sit on a unit that can
-            # never complete.  Quarantine the evidence and re-enqueue
-            # the unit (counting against max_attempts, like any other
-            # failed delivery).
-            doc = None
-        unit = self._outstanding.get(unit_id)
-        if unit is None:
-            # Cancelled mid-drain, but a straggler worker published its
-            # result after the cancel swept the file: consume the
-            # orphan now so a reused queue directory never replays it.
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
+            # forever.
+            self._quarantine_and_requeue(unit_id, unit)
             return None
-        if doc is None:
-            self._quarantine_and_requeue(unit_id, unit, path)
-            return None
+        # Consume the result (and any lease litter of a dead owner):
+        # a reused queue must never replay it, error results included.
+        self.transport.delete_result(unit_id)
         if not doc.get("ok"):
-            # Consume the error result: leaving it on disk would make
-            # a reused queue directory replay this failure forever.
-            os.unlink(path)
             raise RuntimeError(
                 f"unit {unit_id} ({unit.label}) failed on worker "
                 f"{doc.get('worker')}:\n{doc.get('error')}"
             )
         attempts = self._attempts.pop(unit_id)
         del self._outstanding[unit_id]
-        os.unlink(path)
         return WorkResult(
             unit=unit,
             payload=doc["payload"],
@@ -1344,129 +1629,103 @@ class WorkQueueBackend(ExecutionBackend):
             timings=doc.get("timings"),
         )
 
-    def _quarantine_and_requeue(
-        self, unit_id: str, unit: WorkUnit, result_path: str
-    ) -> None:
+    def _quarantine_and_requeue(self, unit_id: str, unit: WorkUnit) -> None:
         """Handle a corrupt result: preserve it, retry the unit.
 
-        The corrupt document moves to ``corrupt/`` (atomic rename, so
-        no poll ever re-reads it) and the unit goes back to ``tasks/``
-        with an incremented attempt — bounded by ``max_attempts``, so
-        a filesystem that keeps tearing writes fails the campaign with
-        a diagnosis instead of looping forever.
+        The transport moves the document to ``corrupt/`` and requeues
+        the unit in one step.  Past ``max_attempts`` the requeue is
+        withdrawn again, so a filesystem that keeps tearing writes
+        fails the campaign with a diagnosis instead of looping.
         """
-        quarantined = quarantine_file(self.queue_dir, result_path)
-        if quarantined is None:
-            return  # vanished mid-read; the next poll resolves it
+        attempts = self._attempts[unit_id] + 1
+        answer = self.transport.requeue(
+            unit_id, self._task_doc(unit, attempt=attempts),
+            quarantine=True,
+        )
+        quarantined = answer.get("quarantined")
         if self.telemetry is not None:
             self.telemetry.emit(make_event(
                 "quarantine", unit=unit_id, path=quarantined,
             ))
-        attempts = self._attempts[unit_id] + 1
         if attempts > self.max_attempts:
+            self.transport.cancel([unit_id])
             raise RuntimeError(
                 f"unit {unit_id} ({unit.label}): corrupt result "
                 f"document (quarantined to {quarantined}) and the "
                 f"{self.max_attempts}-attempt budget is exhausted — "
                 "is the queue filesystem tearing writes?"
             )
+        self._requeued(unit_id, attempts)
+
+    def _requeued(self, unit_id: str, attempts: int) -> None:
         self._attempts[unit_id] = attempts
-        try:
-            os.unlink(_lease_path(self.queue_dir, unit_id))
-        except FileNotFoundError:
-            pass
-        atomic_write_bytes(
-            _task_path(self.queue_dir, unit_id),
-            self._task_doc(unit, attempt=attempts),
-        )
         if self.telemetry is not None:
             self.telemetry.emit(make_event(
                 "requeue", unit=unit_id, attempt=attempts,
             ))
 
-    def _lease_age(self, unit_id: str) -> Optional[float]:
-        try:
-            return time.time() - os.stat(
-                _lease_path(self.queue_dir, unit_id)
-            ).st_mtime
-        except FileNotFoundError:
-            return None
-
-    def _any_live_lease(self) -> bool:
-        for unit_id in self._outstanding:
-            age = self._lease_age(unit_id)
-            if age is not None and age <= self.lease_timeout:
-                return True
-        return False
-
-    def _requeue_expired(self) -> List[WorkResult]:
-        """Re-enqueue claimed units whose worker stopped heartbeating.
+    def _requeue_expired(
+        self, lease_ages: Dict[str, Optional[float]]
+    ) -> List[WorkResult]:
+        """Re-enqueue outstanding units whose lease went stale; the
+        results collected instead (for :meth:`completions` to yield).
 
         **Collect-before-requeue**: a worker publishes its result
-        *before* releasing its lease, so a result file landing while
-        the lease is being expired means the unit finished — it is
-        collected and returned (for :meth:`completions` to yield)
-        rather than re-enqueued, so a slow-but-successful worker never
-        burns an attempt from ``max_attempts`` (or, worse, exhausts
-        the budget and fails a campaign whose result is sitting on
-        disk)."""
+        before its lease is released, so a result landing while the
+        lease is being expired means the unit finished.  It is
+        collected — here, or when the transport refuses the requeue
+        because it landed after that check — so a slow-but-successful
+        worker never burns an attempt (or, worse, exhausts the budget
+        and fails a campaign whose result is sitting on disk).
+        """
         collected: List[WorkResult] = []
-        for unit_id, unit in list(self._outstanding.items()):
-            age = self._lease_age(unit_id)
+        for unit_id in list(self._outstanding):
+            age = lease_ages.get(unit_id)
             if age is None:
                 continue
+            attempt = self._attempts[unit_id]
             if age <= self.lease_timeout:
                 # Early warning: the lease aged past half its window
                 # without a heartbeat — the worker is struggling (or
                 # its beat thread is), even if it recovers.  One
                 # event per delivery attempt.
                 if (self.telemetry is not None
-                        and age > self.lease_timeout / 2.0):
-                    key = (unit_id, self._attempts[unit_id])
-                    if key not in self._gap_warned:
-                        self._gap_warned.add(key)
-                        self.telemetry.emit(make_event(
-                            "heartbeat_gap", unit=unit_id,
-                            age=round(age, 3),
-                            attempt=self._attempts[unit_id],
-                        ))
+                        and age > self.lease_timeout / 2.0
+                        and (unit_id, attempt) not in self._gap_warned):
+                    self._gap_warned.add((unit_id, attempt))
+                    self.telemetry.emit(make_event(
+                        "heartbeat_gap", unit=unit_id,
+                        age=round(age, 3), attempt=attempt,
+                    ))
                 continue
             result = self._collect(unit_id)
             if result is not None:
-                # The dead (or merely slow) owner never released its
-                # lease; the unit is done, so the lease is litter.
-                try:
-                    os.unlink(_lease_path(self.queue_dir, unit_id))
-                except FileNotFoundError:
-                    pass
                 collected.append(result)
                 continue
+            if self._attempts[unit_id] != attempt:
+                continue  # the collect quarantined a corrupt result
             if self.telemetry is not None:
                 self.telemetry.emit(make_event(
                     "lease_expired", unit=unit_id,
-                    age=round(age, 3),
-                    attempt=self._attempts[unit_id],
+                    age=round(age, 3), attempt=attempt,
                 ))
-            attempts = self._attempts[unit_id] + 1
-            if attempts > self.max_attempts:
+            if attempt + 1 > self.max_attempts:
                 raise RuntimeError(
-                    f"unit {unit_id} ({unit.label}): lease expired and "
-                    f"the {self.max_attempts}-attempt budget is "
-                    "exhausted (workers keep dying mid-unit?)"
+                    f"unit {unit_id} ({self._outstanding[unit_id].label})"
+                    f": lease expired and the {self.max_attempts}-attempt"
+                    " budget is exhausted (workers keep dying mid-unit?)"
                 )
-            self._attempts[unit_id] = attempts
-            try:
-                os.unlink(_lease_path(self.queue_dir, unit_id))
-            except FileNotFoundError:
-                pass
-            atomic_write_bytes(
-                _task_path(self.queue_dir, unit_id),
-                self._task_doc(unit, attempt=attempts),
+            answer = self.transport.requeue(
+                unit_id,
+                self._task_doc(self._outstanding[unit_id], attempt + 1),
+                quarantine=False,
             )
-            if self.telemetry is not None:
-                self.telemetry.emit(make_event(
-                    "requeue", unit=unit_id, attempt=attempts,
-                ))
+            if answer["has_result"]:
+                result = self._collect(unit_id)
+                if result is not None:
+                    collected.append(result)
+                continue
+            self._requeued(unit_id, attempt + 1)
         return collected
 
     # -- teardown ------------------------------------------------------------
@@ -1477,31 +1736,21 @@ class WorkQueueBackend(ExecutionBackend):
     def cancel_units(self, unit_ids: Iterable[str]) -> None:
         """Withdraw specific outstanding units from the queue.
 
-        Unclaimed task files are unlinked so no worker ever picks them
+        Unclaimed task files are removed so no worker ever picks them
         up.  A unit some worker already *claimed* is cancelled too:
         its lease is removed — the executing worker cannot be
         interrupted mid-unit, but its heartbeat finds the lease gone,
-        and the straggler result it may still publish is swept by the
-        next :meth:`completions` poll or at :meth:`close` (previously
-        a claimed unit kept its lease, which sat in ``leases/`` as an
-        orphan that made later campaigns misread queue pressure).  Any
-        result that already landed is removed now — a reused queue
-        directory must not replay a cancelled unit's outcome.
+        and a straggler result that lands anyway is swept by the next
+        :meth:`completions` poll or at :meth:`close`.  Any result that
+        already landed is removed now — a reused queue must not replay
+        a cancelled unit's outcome.
         """
-        for unit_id in unit_ids:
-            if unit_id not in self._outstanding:
-                continue
-            removed = {}
-            for stage, path in (
-                ("task", _task_path(self.queue_dir, unit_id)),
-                ("lease", _lease_path(self.queue_dir, unit_id)),
-                ("result", _result_path(self.queue_dir, unit_id)),
-            ):
-                try:
-                    os.unlink(path)
-                    removed[stage] = True
-                except FileNotFoundError:
-                    removed[stage] = False
+        ids = [u for u in unit_ids if u in self._outstanding]
+        if not ids:
+            return
+        removed = self.transport.cancel(ids)
+        for unit_id in ids:
+            stages = removed.get(unit_id, {})
             # Track the id for the straggler sweep only when a worker
             # might still publish it — tracking ids that cannot
             # straggle would grow _cancelled_ids (and its per-poll
@@ -1512,40 +1761,23 @@ class WorkQueueBackend(ExecutionBackend):
             # already gone) that has not yet published can.
             straggler_possible = (
                 self._attempts[unit_id] > 1
-                or (not removed["task"] and not removed["result"])
+                or (not stages.get("task") and not stages.get("result"))
             )
             if straggler_possible:
                 self._cancelled_ids.add(unit_id)
             del self._outstanding[unit_id]
             del self._attempts[unit_id]
 
-    def _sweep_cancelled(self) -> None:
-        """Remove straggler results of cancelled units (best effort).
-
-        A worker that was mid-unit when its unit was cancelled still
-        publishes on completion; sweeping on every poll (and after the
-        workers stopped, in :meth:`close`) keeps the queue directory
-        free of stray files after an early-stopped campaign.  An id is
-        forgotten once its straggler landed and was swept — a worker
-        publishes a unit at most once, so keeping it would only make
-        the set (and its per-poll unlink attempts) grow for the life
-        of a long-lived backend.  (The pathological second straggler —
-        a unit cancelled *after* a lease-expiry re-enqueue put two
-        workers on it — is still covered by the submit-time sweep.)
-        """
-        for unit_id in list(self._cancelled_ids):
-            try:
-                os.unlink(_result_path(self.queue_dir, unit_id))
-            except FileNotFoundError:
-                continue
-            self._cancelled_ids.discard(unit_id)
-
     def close(self) -> None:
         """Stop spawned/elastic workers (via the ``stop`` sentinel,
-        then escalating) and release the queue.  External workers keep
-        running — remove/write the sentinel yourself to manage them."""
+        then escalating) and sweep cancelled units' stragglers.
+        External workers keep running — set or clear the sentinel
+        yourself to manage them."""
         if self._procs or self.supervisor is not None:
-            atomic_write_bytes(_stop_path(self.queue_dir), b"")
+            try:
+                self.transport.set_stop(True)
+            except Exception:
+                pass  # coordinator gone: terminate the pool directly
         if self.supervisor is not None:
             self.supervisor.shutdown()
             self.supervisor = None
@@ -1555,6 +1787,48 @@ class WorkQueueBackend(ExecutionBackend):
                 _stop_proc(proc, deadline)
             self._procs = []
         # The workers are gone (or were never ours): any straggler
-        # result a cancelled unit left behind is final litter now.
-        self._sweep_cancelled()
-        self._cancelled_ids = set()
+        # result a cancelled unit left behind is final litter now.  An
+        # id is forgotten once swept — a worker publishes a unit at
+        # most once.
+        if self._cancelled_ids:
+            try:
+                self.transport.poll([], list(self._cancelled_ids))
+            except Exception:
+                pass
+            self._cancelled_ids = set()
+
+
+class WorkQueueBackend(QueueBackend):
+    """A :class:`QueueBackend` over a queue directory.
+
+    Share ``queue_dir`` between the dispatcher and every worker — a
+    local path for same-host workers, a network filesystem for
+    cross-host ones.  See :class:`QueueBackend` for the parameters.
+    """
+
+    def __init__(
+        self,
+        queue_dir: str,
+        *,
+        lease_timeout: float = 60.0,
+        poll_interval: float = 0.2,
+        max_attempts: int = 3,
+        spawn_workers: int = 0,
+        idle_timeout: Optional[float] = None,
+        min_workers: Optional[int] = None,
+        max_workers: Optional[int] = None,
+        elastic_idle_grace: float = 2.0,
+        telemetry=None,
+    ) -> None:
+        super().__init__(
+            FsTransport(queue_dir),
+            lease_timeout=lease_timeout,
+            poll_interval=poll_interval,
+            max_attempts=max_attempts,
+            spawn_workers=spawn_workers,
+            idle_timeout=idle_timeout,
+            min_workers=min_workers,
+            max_workers=max_workers,
+            elastic_idle_grace=elastic_idle_grace,
+            telemetry=telemetry,
+        )

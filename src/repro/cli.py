@@ -546,21 +546,11 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         print("error: need exactly one of --queue (filesystem) or "
               "--coordinator URL (HTTP)", file=sys.stderr)
         return 2
-    if args.coordinator:
-        from repro.backends import worker_loop_http
-
-        worker_loop_http(
-            args.coordinator,
-            worker_id=args.worker_id,
-            poll_interval=args.poll,
-            max_idle=args.max_idle,
-            echo=not args.quiet,
-        )
-        return 0
-    from repro.backends import worker_loop
+    from repro.backends import FsTransport, HttpTransport, worker_loop
 
     worker_loop(
-        args.queue,
+        HttpTransport(args.coordinator) if args.coordinator
+        else FsTransport(args.queue),
         worker_id=args.worker_id,
         poll_interval=args.poll,
         max_idle=args.max_idle,
@@ -672,10 +662,7 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
         # join through the HTTP front door like any remote host's.
         import os as _os
 
-        from repro.backends import (
-            CoordinatorWorkerLauncher,
-            ElasticSupervisor,
-        )
+        from repro.backends import ElasticSupervisor, WorkerLauncher
 
         supervisor = ElasticSupervisor(
             args.queue_dir,
@@ -683,9 +670,9 @@ def _cmd_coordinator(args: argparse.Namespace) -> int:
                 1 if args.min_workers is None else args.min_workers
             ),
             max_workers=args.max_workers,
-            launcher=CoordinatorWorkerLauncher(
-                server.url,
-                log_dir=_os.path.join(args.queue_dir, "workers"),
+            launcher=WorkerLauncher(
+                ["--coordinator", server.url],
+                _os.path.join(args.queue_dir, "workers"),
             ),
             telemetry=telemetry,
         ).start()

@@ -22,3 +22,18 @@ def small_layout(small_geometry) -> AddressLayout:
 def arm_l1_geometry() -> CacheGeometry:
     """The paper's L1 geometry (16 KB, 128 sets, 4 ways)."""
     return CacheGeometry(total_size=16 * 1024, num_ways=4, line_size=32)
+
+
+@pytest.fixture(params=["fs", "http"])
+def transport(request, tmp_path):
+    """Each work-queue transport over one queue directory,
+    ``tmp_path / "queue"``: the directory itself (``fs``), and an
+    in-process coordinator serving it over HTTP (``http``)."""
+    from repro.backends import CoordinatorServer, FsTransport, HttpTransport
+
+    queue_dir = str(tmp_path / "queue")
+    if request.param == "fs":
+        yield FsTransport(queue_dir)
+        return
+    with CoordinatorServer(queue_dir) as server:
+        yield HttpTransport(server.url, retry_timeout=5.0)

@@ -19,7 +19,9 @@ import pytest
 
 from repro.backends import (
     ElasticSupervisor,
+    FsTransport,
     ProcessPoolBackend,
+    QueueBackend,
     SerialBackend,
     WorkQueueBackend,
     WorkUnit,
@@ -57,7 +59,7 @@ def run_worker_once(queue_dir, **kwargs):
     kwargs.setdefault("max_idle", 0.3)
     kwargs.setdefault("poll_interval", 0.05)
     kwargs.setdefault("echo", False)
-    return worker_loop(queue_dir, **kwargs)
+    return worker_loop(FsTransport(queue_dir), **kwargs)
 
 
 class TestWorkUnitWire:
@@ -268,7 +270,7 @@ class TestWorkQueueDispatch:
     def test_worker_exits_on_stop_sentinel(self, tmp_path):
         ensure_queue_dirs(str(tmp_path))
         (tmp_path / "stop").write_bytes(b"")
-        assert worker_loop(str(tmp_path), echo=False) == 0
+        assert worker_loop(FsTransport(str(tmp_path)), echo=False) == 0
 
 
 class TestWorkQueueFaults:
@@ -369,14 +371,15 @@ class TestWorkQueueFaults:
         results = list(fresh.completions())
         assert results[0].payload.accesses == 12000
 
-    def test_lost_claim_skipped_not_fatal(self, tmp_path):
+    def test_lost_claim_skipped_not_fatal(self, tmp_path, monkeypatch):
         """Regression: a worker whose freshly-claimed lease was
         re-enqueued from under it (stale task mtime) must move on,
         not crash."""
-        from repro.backends.workqueue import _execute_claimed
-
-        ensure_queue_dirs(str(tmp_path))
-        assert _execute_claimed(str(tmp_path), "ghost", "w1") is None
+        transport = FsTransport(str(tmp_path))
+        # The rename won, but the lease is gone before it is read.
+        monkeypatch.setattr(wq, "_claim_next", lambda queue_dir: "ghost")
+        answer = transport.claim("w1", "testhost")
+        assert answer == {"unit": None, "stop": False, "retire": False}
 
     def test_release_lease_spares_successor(self, tmp_path):
         """Regression: a slow predecessor finishing late must not
@@ -403,12 +406,19 @@ class TestHeartbeatLiveness:
     def _boom(self, path):
         raise RuntimeError("simulated heartbeat thread crash")
 
+    def _leased(self, tmp_path):
+        """A queue holding unit ``u`` leased to ``w1``."""
+        transport = FsTransport(str(tmp_path))
+        (tmp_path / LEASES_DIR / "u.json").write_text(
+            json.dumps({"worker": "w1"})
+        )
+        return transport, tmp_path / LEASES_DIR / "u.json"
+
     def test_thread_death_recorded_in_lease_doc(self, tmp_path,
                                                 monkeypatch):
-        lease = tmp_path / "u.json"
-        lease.write_text(json.dumps({"worker": "w1"}))
+        transport, lease = self._leased(tmp_path)
         monkeypatch.setattr(wq, "_touch", self._boom)
-        heartbeat = wq._Heartbeat(str(lease), interval=0.01)
+        heartbeat = wq._Heartbeat(transport, "u", "w1", interval=0.01)
         with heartbeat:
             assert heartbeat.failed.wait(timeout=10.0)
         doc = json.loads(lease.read_text())
@@ -421,51 +431,61 @@ class TestHeartbeatLiveness:
     def test_transient_oserror_keeps_beating(self, tmp_path,
                                              monkeypatch):
         """An EIO/NFS hiccup must not read as thread death."""
-        lease = tmp_path / "u.json"
-        lease.write_text(json.dumps({"worker": "w1"}))
+        transport, _ = self._leased(tmp_path)
 
         def hiccup(path):
             raise OSError("transient")
 
         monkeypatch.setattr(wq, "_touch", hiccup)
-        heartbeat = wq._Heartbeat(str(lease), interval=0.01)
+        heartbeat = wq._Heartbeat(transport, "u", "w1", interval=0.01)
         with heartbeat:
             time.sleep(0.1)
         assert not heartbeat.failed.is_set()
+        assert not heartbeat.lost.is_set()
 
     def test_lost_lease_is_not_thread_death(self, tmp_path,
                                             monkeypatch):
-        """Lease gone = re-enqueued from under us; the thread exits
-        quietly and the late result still counts (first wins)."""
-        lease = tmp_path / "u.json"
-        lease.write_text(json.dumps({"worker": "w1"}))
+        """Lease gone = re-enqueued or cancelled from under us: the
+        thread stops quietly and reports the lease lost (so the worker
+        does not publish) — it does not read as thread death."""
+        transport, _ = self._leased(tmp_path)
 
         def gone(path):
             raise FileNotFoundError(path)
 
         monkeypatch.setattr(wq, "_touch", gone)
-        heartbeat = wq._Heartbeat(str(lease), interval=0.01)
+        heartbeat = wq._Heartbeat(transport, "u", "w1", interval=0.01)
         with heartbeat:
-            time.sleep(0.1)
+            assert heartbeat.lost.wait(timeout=10.0)
         assert not heartbeat.failed.is_set()
 
     def test_worker_aborts_unit_when_heartbeat_dies(self, tmp_path,
                                                     monkeypatch):
         # Short lease timeout → the task doc carries a fast (0.05s)
-        # heartbeat interval; the unit is big enough that the beat
-        # thread reliably fires (and dies) while it executes.
+        # heartbeat interval; the unit waits until the beat thread
+        # has fired (and died) before it computes.
         backend = WorkQueueBackend(str(tmp_path), lease_timeout=0.2)
-        backend.submit(WorkUnit(
-            unit_id="u", spec=timing_spec(num_samples=32_768)
-        ))
-        claimed = wq._claim_next(str(tmp_path))
-        assert claimed == "u"
-        monkeypatch.setattr(wq, "_touch", self._boom)
-        assert wq._execute_claimed(str(tmp_path), "u", "w1") is None
+        backend.submit(WorkUnit(unit_id="u", spec=missrate_spec()))
+        died = threading.Event()
+
+        def boom(path):
+            died.set()
+            self._boom(path)
+
+        def run_after_death(doc, worker_id):
+            assert died.wait(timeout=10.0)
+            return real_run(doc, worker_id)
+
+        real_run = wq.run_unit_doc
+        monkeypatch.setattr(wq, "_touch", boom)
+        monkeypatch.setattr(wq, "run_unit_doc", run_after_death)
+        assert run_worker_once(str(tmp_path), max_idle=0.1) == 0
         # Aborted: no result published, and the stale lease hands the
         # unit straight back to the dispatcher's expiry pass.
         assert os.listdir(tmp_path / RESULTS_DIR) == []
-        assert backend._lease_age("u") > backend.lease_timeout
+        lease = tmp_path / LEASES_DIR / "u.json"
+        assert time.time() - os.stat(lease).st_mtime \
+            > backend.lease_timeout
 
 
 class TestRequeueCollectsLateResults:
@@ -481,45 +501,66 @@ class TestRequeueCollectsLateResults:
         stale = time.time() - age
         os.utime(lease, (stale, stale))
 
+    def _result_doc(self, payload):
+        return pickle.dumps({
+            "worker": "slow-but-alive",
+            "attempt": 1,
+            "ok": True,
+            "payload": payload,
+            "elapsed": 9.9,
+        })
+
     def _publish(self, queue_dir, unit_id, payload):
         from repro.common.fsio import atomic_write_bytes
 
         atomic_write_bytes(
             os.path.join(queue_dir, RESULTS_DIR, unit_id + ".pkl"),
-            pickle.dumps({
-                "worker": "slow-but-alive",
-                "attempt": 1,
-                "ok": True,
-                "payload": payload,
-                "elapsed": 9.9,
-            }),
+            self._result_doc(payload),
         )
 
     def test_landed_result_collected_without_burning_attempt(
-        self, tmp_path
+        self, transport, tmp_path
     ):
         reference = CampaignRunner().run([missrate_spec()])
-        # max_attempts=1: the old code would raise "budget exhausted"
-        # for a unit whose result was sitting on disk.
-        backend = WorkQueueBackend(
-            str(tmp_path), lease_timeout=0.1, max_attempts=1,
-            idle_timeout=60,
+        payload = reference.cells[0].payload
+        late_result = self._result_doc(payload)
+        queue = tmp_path / "queue"
+
+        class PublishAfterPoll:
+            """The slow worker publishes right after the dispatcher's
+            poll saw its lease stale and no result yet."""
+
+            def __getattr__(self, name):
+                return getattr(transport, name)
+
+            @staticmethod
+            def poll(unit_ids, cancelled):
+                answer = transport.poll(unit_ids, cancelled)
+                if answer["lease_ages"].get("slow"):
+                    assert answer["ready"] == []
+                    assert transport.post_result(
+                        "slow", "slow-but-alive", 1, late_result
+                    )
+                return answer
+
+        # max_attempts=1: checking the budget before collecting would
+        # raise "budget exhausted" for a unit whose result is on disk.
+        backend = QueueBackend(
+            PublishAfterPoll(), lease_timeout=60.0, max_attempts=1,
+            idle_timeout=60, poll_interval=0.01,
         )
         backend.submit(WorkUnit(unit_id="slow", spec=missrate_spec()))
-        self._claim_stale(str(tmp_path), "slow")
-        # The artificially slow worker publishes just as the lease
-        # expires (its heartbeat died long ago, mtime is stale).
-        self._publish(str(tmp_path), "slow",
-                      reference.cells[0].payload)
-        collected = backend._requeue_expired()
+        assert transport.claim("slow-but-alive", "testhost")["unit"]
+        # Its heartbeat died long ago: the lease is certainly stale.
+        os.utime(queue / LEASES_DIR / "slow.json", (0, 0))
+        collected = list(backend.completions())
         assert [r.unit.unit_id for r in collected] == ["slow"]
         assert collected[0].attempts == 1
-        assert (collected[0].payload.miss_rate
-                == reference.cells[0].payload.miss_rate)
+        assert collected[0].payload.miss_rate == payload.miss_rate
         assert backend._outstanding == {}
         # The dead owner's lease is litter once the unit is done.
-        assert os.listdir(tmp_path / LEASES_DIR) == []
-        assert os.listdir(tmp_path / TASKS_DIR) == []
+        for sub in (LEASES_DIR, TASKS_DIR, RESULTS_DIR):
+            assert os.listdir(queue / sub) == []
 
     def test_slow_worker_race_through_completions(self, tmp_path):
         """Integration shape: the result lands from a thread while the
@@ -628,11 +669,9 @@ class TestElasticSupervisor:
     def _supervisor(self, tmp_path, monkeypatch, clock, **kwargs):
         spawned = []
 
-        def fake_spawn(queue_dir, worker_id, poll_interval):
+        def fake_spawn(worker_args, worker_id, poll_interval, log_dir):
             spawned.append(worker_id)
-            return _FakeProc(), os.path.join(
-                queue_dir, WORKERS_DIR, worker_id + ".log"
-            )
+            return _FakeProc(), os.path.join(log_dir, worker_id + ".log")
 
         monkeypatch.setattr(wq, "_spawn_worker_process", fake_spawn)
         kwargs.setdefault("min_workers", 1)
@@ -800,7 +839,7 @@ class TestElasticSupervisor:
         )
         self._enqueue(tmp_path, "a")
 
-        def broken_spawn(queue_dir, worker_id, poll_interval):
+        def broken_spawn(worker_args, worker_id, poll_interval, log_dir):
             raise OSError("fork: resource temporarily unavailable")
 
         monkeypatch.setattr(wq, "_spawn_worker_process", broken_spawn)
@@ -822,7 +861,7 @@ class TestElasticSupervisor:
         self._enqueue(tmp_path, "a")
         good_spawn = wq._spawn_worker_process
 
-        def broken_spawn(queue_dir, worker_id, poll_interval):
+        def broken_spawn(worker_args, worker_id, poll_interval, log_dir):
             raise OSError("transient")
 
         monkeypatch.setattr(wq, "_spawn_worker_process", broken_spawn)
@@ -854,7 +893,7 @@ class TestWorkerRetirementSentinel:
     def test_worker_exits_on_own_stop_sentinel(self, tmp_path):
         ensure_queue_dirs(str(tmp_path))
         (tmp_path / WORKERS_DIR / "w1.stop").write_bytes(b"")
-        assert worker_loop(str(tmp_path), worker_id="w1",
+        assert worker_loop(FsTransport(str(tmp_path)), worker_id="w1",
                            echo=False) == 0
 
     def test_other_workers_unaffected_by_foreign_sentinel(self,
@@ -1294,11 +1333,9 @@ class TestMultiHostIdentity:
     other.  Every generated id now carries the host label."""
 
     def _fake_spawn(self, spawned):
-        def fake(queue_dir, worker_id, poll_interval):
+        def fake(worker_args, worker_id, poll_interval, log_dir):
             spawned.append(worker_id)
-            return _FakeProc(), os.path.join(
-                queue_dir, WORKERS_DIR, worker_id + ".log"
-            )
+            return _FakeProc(), os.path.join(log_dir, worker_id + ".log")
 
         return fake
 

@@ -27,13 +27,14 @@ import pytest
 from repro.backends import (
     CoordinatorClient,
     CoordinatorServer,
-    CoordinatorWorkerLauncher,
     ElasticSupervisor,
     HttpQueueBackend,
+    HttpTransport,
+    WorkerLauncher,
     WorkUnit,
-    worker_loop_http,
+    worker_loop,
 )
-from repro.backends import coordinator as coord_mod
+from repro.backends import workqueue as wq
 from repro.backends.workqueue import (
     CORRUPT_DIR,
     LEASES_DIR,
@@ -102,8 +103,11 @@ def http_worker_thread(url, **kwargs):
     kwargs.setdefault("max_idle", 30.0)
     kwargs.setdefault("poll_interval", 0.05)
     kwargs.setdefault("echo", False)
+    transport = HttpTransport(
+        url, retry_timeout=kwargs.pop("retry_timeout", 60.0)
+    )
     thread = threading.Thread(
-        target=worker_loop_http, args=(url,), kwargs=kwargs, daemon=True
+        target=worker_loop, args=(transport,), kwargs=kwargs, daemon=True
     )
     thread.start()
     return thread
@@ -435,14 +439,14 @@ class TestHttpBackendCampaign:
         reports attempts=2."""
         client = make_client(server)
         backend = HttpQueueBackend(
-            server.url, lease_timeout=0.5, idle_timeout=60.0,
+            server.url, lease_timeout=60.0, idle_timeout=60.0,
             poll_interval=0.05,
         )
         unit = WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
         backend.submit(unit)
         # A claimant that never heartbeats again (died mid-unit).
         assert claim(client, worker="dead")["unit"] is not None
-        time.sleep(0.8)
+        os.utime(_lease_path(server.state.queue_dir, "u1"), (0, 0))
         worker = http_worker_thread(server.url, max_idle=15.0)
         try:
             results = list(backend.completions())
@@ -455,7 +459,7 @@ class TestHttpBackendCampaign:
 
     def test_attempt_budget_exhaustion_raises(self, server):
         backend = HttpQueueBackend(
-            server.url, lease_timeout=0.3, idle_timeout=60.0,
+            server.url, lease_timeout=60.0, idle_timeout=60.0,
             poll_interval=0.05, max_attempts=1,
         )
         client = make_client(server)
@@ -463,7 +467,7 @@ class TestHttpBackendCampaign:
             WorkUnit(unit_id="u1", spec=timing_spec(num_samples=64))
         )
         assert claim(client, worker="dead")["unit"] is not None
-        time.sleep(0.6)
+        os.utime(_lease_path(server.state.queue_dir, "u1"), (0, 0))
         with pytest.raises(RuntimeError, match="attempt budget"):
             list(backend.completions())
         backend.close()
@@ -641,6 +645,34 @@ class TestCoordinatorCrashRestart:
                     proc.wait(timeout=10.0)
 
 
+    def test_claim_interrupted_by_the_kill_is_handed_out_again(
+        self, tmp_path
+    ):
+        """A coordinator killed between a claim's rename into
+        ``leases/`` and its ownership stamp leaves a lease no worker
+        holds.  Its successor hands the unit out again at once instead
+        of letting it sit for a whole lease timeout; stamped leases
+        (claims that reached their worker) stay put."""
+        queue_dir = str(tmp_path / "queue")
+        with CoordinatorServer(queue_dir) as server:
+            client = make_client(server)
+            for unit_id in ("held", "lost"):
+                submit_unit(client, WorkUnit(
+                    unit_id=unit_id, spec=timing_spec(num_samples=64)
+                ))
+            assert claim(client, worker="w1")["unit"]["unit_id"] == "held"
+        # The predecessor died right after renaming "lost" into leases/.
+        assert wq._claim_next(queue_dir) == "lost"
+        with CoordinatorServer(queue_dir) as server:
+            client = make_client(server)
+            again = claim(client, worker="w2")["unit"]
+            assert again["unit_id"] == "lost"
+            assert again["attempt"] == 1
+            assert claim(client, worker="w3")["unit"] is None
+        with open(_lease_path(queue_dir, "held")) as handle:
+            assert json.load(handle)["worker"] == "w1"
+
+
 class _FakeProc:
     def __init__(self):
         self.returncode = None
@@ -670,13 +702,14 @@ class TestCoordinatorWorkerLauncher:
     ):
         launched = []
 
-        def fake_spawn(url, worker_id, poll_interval, log_dir):
-            launched.append((url, worker_id))
+        def fake_spawn(worker_args, worker_id, poll_interval, log_dir):
+            launched.append((worker_args, worker_id))
             return _FakeProc(), os.path.join(log_dir, worker_id + ".log")
 
-        monkeypatch.setattr(coord_mod, "_spawn_http_worker", fake_spawn)
-        launcher = CoordinatorWorkerLauncher(
-            "http://example:8642", log_dir=str(tmp_path / "logs")
+        monkeypatch.setattr(wq, "_spawn_worker_process", fake_spawn)
+        launcher = WorkerLauncher(
+            ["--coordinator", "http://example:8642"],
+            str(tmp_path / "logs"),
         )
         supervisor = ElasticSupervisor(
             str(tmp_path / "queue"),
@@ -684,7 +717,10 @@ class TestCoordinatorWorkerLauncher:
         )
         supervisor.tick()
         assert len(launched) == 2
-        assert all(url == "http://example:8642" for url, _ in launched)
+        assert all(
+            args == ["--coordinator", "http://example:8642"]
+            for args, _ in launched
+        )
         # Ids are host-qualified through the launcher's host label.
         assert all(
             worker_id.startswith(f"elastic-{launcher.host}-")
@@ -700,9 +736,9 @@ class TestCoordinatorWorkerLauncher:
         supervisor = ElasticSupervisor(
             queue_dir,
             min_workers=1, max_workers=1, worker_poll=0.05,
-            launcher=CoordinatorWorkerLauncher(
-                server.url,
-                log_dir=os.path.join(queue_dir, "workers"),
+            launcher=WorkerLauncher(
+                ["--coordinator", server.url],
+                os.path.join(queue_dir, "workers"),
             ),
         ).start()
         backend = HttpQueueBackend(

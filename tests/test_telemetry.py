@@ -20,7 +20,12 @@ import time
 
 import pytest
 
-from repro.backends import WorkQueueBackend, WorkUnit, worker_loop
+from repro.backends import (
+    FsTransport,
+    WorkQueueBackend,
+    WorkUnit,
+    worker_loop,
+)
 from repro.backends.workqueue import LEASES_DIR, TASKS_DIR
 from repro.campaigns import CampaignRunner, ExperimentSpec
 from repro.telemetry import (
@@ -422,7 +427,7 @@ class TestDeadWorkerJournalChain:
         backend.submit(WorkUnit(unit_id="doomed", spec=missrate_spec()))
         self._stale_claim(str(qdir), "doomed")
         thread = threading.Thread(
-            target=worker_loop, args=(str(qdir),),
+            target=worker_loop, args=(FsTransport(str(qdir)),),
             kwargs={"max_idle": 30.0, "poll_interval": 0.05,
                     "echo": False},
         )
