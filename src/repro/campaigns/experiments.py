@@ -448,12 +448,13 @@ def _pwcet_run_seed(root, run: int) -> int:
 def _pwcet_times_vector(
     spec: ExperimentSpec, trace, start: int, end: int
 ) -> Optional[np.ndarray]:
-    """Run-parallel replay of runs ``[start, end)``, or None outside
-    the vector envelope.
+    """Batched replay of runs ``[start, end)``, or None outside the
+    vector envelope.
 
     Each scalar run builds a *fresh* hierarchy (restarting every
-    replacement draw stream), so the batch reproduces it with one
-    seeded lane per run — bit-identical latencies, ``R`` runs wide.
+    replacement draw stream), so the batch reproduces it level by
+    level with one seeded run per MBPTA run — or a single run when the
+    layout does not depend on the seed — bit-identical latencies.
     """
     from repro.kernels.replay import VectorHierarchyBatch, hierarchy_support
 

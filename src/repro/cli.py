@@ -62,6 +62,8 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
+import select
 import sys
 import time
 from typing import List, Optional
@@ -1339,9 +1341,30 @@ _COMMANDS = {
 }
 
 
+def _stdout_reader_gone() -> bool:
+    """Whether stdout is a pipe whose reading end has been closed."""
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+        return any(event & select.POLLERR for _, event in poller.poll(0))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        if not _stdout_reader_gone():
+            raise  # not stdout: a socket or another pipe
+        # The reader stopped early (``repro trace J | head``): its
+        # choice, not a failure.  Point stdout at devnull so the flush
+        # at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -21,9 +21,10 @@ of a block as arrays of cache state:
 * :mod:`repro.kernels.trials` — whole Prime+Probe / Evict+Time trial
   blocks as a few dozen batched access steps, plus the capability
   probe behind the ``auto`` kernel choice.
-* :mod:`repro.kernels.replay` — batched trace replay: run-parallel
-  two-level hierarchies for pwcet cells, set-parallel single-cache
-  rounds for missrate cells.
+* :mod:`repro.kernels.replay` — batched trace replay: pwcet cells'
+  two-level hierarchies level by level over all runs (one run when
+  the layout is run-invariant), missrate cells' single cache in
+  set-parallel rounds — both on one per-level helper.
 
 The Fig. 5 timing engine's cold-line model
 (:meth:`repro.core.batch.ColdLineModel.epoch_states`) is a client of

@@ -19,7 +19,8 @@ of them by one access per step.  It reproduces the scalar
 
 Seeds follow the scalar :class:`~repro.cache.core.SeedRegister`
 semantics: one global seed per trial plus per-pid overrides, resolved
-at lookup time.
+at lookup time (:class:`VectorSeedRegister`, which the trace-replay
+kernel shares).
 
 :class:`VectorRPCacheBatch` extends the fill path with RPCache's
 interference redirection: per-pid permutation tables (the pid *is* the
@@ -53,42 +54,18 @@ from repro.kernels.replacement import (
 _M64 = mask(64)
 
 
-class VectorCacheBatch:
-    """``num_trials`` independent caches stepped in lock-step."""
+class VectorSeedRegister:
+    """``num_trials`` scalar seed registers (:class:`SeedRegister`).
 
-    def __init__(
-        self,
-        geometry: CacheGeometry,
-        placement: VectorPlacement,
-        num_trials: int,
-        replacement: Optional[VectorReplacement] = None,
-    ) -> None:
-        if num_trials <= 0:
-            raise ValueError("num_trials must be positive")
-        self.geometry = geometry
-        self.placement = placement
+    One global seed per trial plus per-pid overrides; a pid a trial
+    never set falls back to that trial's global seed at lookup time.
+    """
+
+    def __init__(self, num_trials: int) -> None:
         self.num_trials = num_trials
-        layout = geometry.layout()
-        self._offset_bits = layout.offset_bits
-        self._index_bits = layout.index_bits
-        self._index_mask = mask(layout.index_bits)
-        self._offset_mask = mask(layout.offset_bits)
-        shape = (num_trials, geometry.num_sets, geometry.num_ways)
-        self.valid = np.zeros(shape, dtype=bool)
-        self.line_addr = np.zeros(shape, dtype=np.int64)
-        self.line_pid = np.zeros(shape, dtype=np.int64)
-        self.replacement = (
-            replacement
-            if replacement is not None
-            else VectorLRU(num_trials, geometry.num_sets, geometry.num_ways)
-        )
-        self._rows = np.arange(num_trials)
         self._global_seed = np.zeros(num_trials, dtype=np.uint64)
-        #: pid -> (values, set_mask); unset entries fall back to the
-        #: trial's global seed at lookup time (SeedRegister semantics).
+        #: pid -> (values, set_mask).
         self._pid_seeds: Dict[int, tuple] = {}
-
-    # -- seed register -----------------------------------------------------
 
     def init_seeds(self, register: SeedRegister) -> None:
         """Give every trial the register state of a fresh scalar cache."""
@@ -121,6 +98,38 @@ class VectorCacheBatch:
             return self._global_seed
         values, set_mask = entry
         return np.where(set_mask, values, self._global_seed)
+
+
+class VectorCacheBatch(VectorSeedRegister):
+    """``num_trials`` independent caches stepped in lock-step."""
+
+    def __init__(
+        self,
+        geometry: CacheGeometry,
+        placement: VectorPlacement,
+        num_trials: int,
+        replacement: Optional[VectorReplacement] = None,
+    ) -> None:
+        if num_trials <= 0:
+            raise ValueError("num_trials must be positive")
+        super().__init__(num_trials)
+        self.geometry = geometry
+        self.placement = placement
+        layout = geometry.layout()
+        self._offset_bits = layout.offset_bits
+        self._index_bits = layout.index_bits
+        self._index_mask = mask(layout.index_bits)
+        self._offset_mask = mask(layout.offset_bits)
+        shape = (num_trials, geometry.num_sets, geometry.num_ways)
+        self.valid = np.zeros(shape, dtype=bool)
+        self.line_addr = np.zeros(shape, dtype=np.int64)
+        self.line_pid = np.zeros(shape, dtype=np.int64)
+        self.replacement = (
+            replacement
+            if replacement is not None
+            else VectorLRU(num_trials, geometry.num_sets, geometry.num_ways)
+        )
+        self._rows = np.arange(num_trials)
 
     # -- address math ------------------------------------------------------
 
@@ -200,8 +209,8 @@ class VectorCacheBatch:
     ) -> np.ndarray:
         """Access step with set indices already computed (``(T,)`` each).
 
-        The trace-replay kernel precomputes every access's set mapping
-        up front and replays through this entry point.
+        The Fig. 5 cold-line model precomputes every access's set
+        mapping up front and replays through this entry point.
         """
         rows = self._rows
         set_valid = self.valid[rows, sets]  # (T, W) gather

@@ -1,9 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 from repro.common.trace import Trace
 from repro.common.traceio import save_trace_file
@@ -523,3 +528,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "128 accesses" in out
         assert "l1d" in out
+
+
+class TestClosedStdout:
+    def test_reader_gone_exits_quietly(self):
+        """``repro setups | true`` with the reader gone before the first
+        write: exit 0, nothing on stderr (no BrokenPipeError traceback)."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(__file__).resolve().parents[1] / "src"
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "setups"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (completed.returncode, completed.stderr) == (0, "")
+
+    def test_other_broken_pipes_still_raise(self, monkeypatch):
+        """A broken socket inside a command is a failure, not a reader
+        that stopped early."""
+        def broken(args):
+            raise BrokenPipeError("socket")
+
+        monkeypatch.setitem(cli._COMMANDS, "setups", broken)
+        with pytest.raises(BrokenPipeError):
+            main(["setups"])

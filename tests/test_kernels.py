@@ -26,8 +26,10 @@ shrink-free generators, as in ``test_cache_properties.py``):
   machine-readable reason, so "auto" can never select an unfaithful
   kernel and a scalar fallback is never silent (``--dry-run`` column,
   ``kernel_fallback`` telemetry event);
-* the trace-replay kernels (pwcet run-parallel hierarchies, missrate
-  set-parallel rounds) reproduce the scalar per-access loops exactly;
+* the trace-replay kernels (pwcet hierarchies replayed level by
+  level, missrate set-parallel rounds) reproduce the scalar per-access
+  loops exactly, over every replacement pairing, with and without the
+  one-lane collapse of a run-invariant layout;
 * the ``kernel`` param is a pure execution hint — same ``spec_hash``,
   same seed stream, same campaign payloads — and the frozen golden
   contention outcomes reproduce with ``kernel=vector``.
@@ -41,6 +43,7 @@ import pytest
 from repro.attack.evict_time import EvictTimeAttack
 from repro.attack.prime_probe import PrimeProbeAttack
 from repro.cache.core import CacheGeometry, SetAssociativeCache
+from repro.cache.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.cache.placement import make_placement
 from repro.cache.replacement import (
     RandomReplacement,
@@ -49,7 +52,7 @@ from repro.cache.replacement import (
 from repro.cache.rpcache import RPCache
 from repro.campaigns import CampaignRunner, ExperimentSpec
 from repro.common.prng import CounterStream, XorShift128, counter_key
-from repro.common.trace import MemoryAccess
+from repro.common.trace import AccessType, MemoryAccess, Trace
 from repro.kernels import (
     VectorCacheBatch,
     VectorXorShiftRandom,
@@ -708,3 +711,104 @@ class TestReplayKernels:
         assert missrate_support(lru) is None
         lru.protect_range(0, 4096)
         assert missrate_support(lru) == "cache:protected-ranges"
+
+
+class TestHierarchyReplayByLevel:
+    """:class:`~repro.kernels.replay.VectorHierarchyBatch` against ``R``
+    fresh scalar :class:`~repro.cache.hierarchy.CacheHierarchy` objects,
+    on seeded random traces mixing instruction fetches and data accesses
+    over two pids with per-pid seeds — every replacement pairing, the
+    one-lane collapse and its refusal, one and several runs."""
+
+    L1 = CacheGeometry(total_size=2048, num_ways=4, line_size=32)
+    L2 = CacheGeometry(total_size=8192, num_ways=4, line_size=32)
+
+    @staticmethod
+    def trace(seed, length=500):
+        rng = random.Random(seed)
+        # A 32 KB pool overfills both levels; a few wild lines mix in.
+        pool = [0x10_0000 + rng.randrange(0, 32 * 1024) for _ in range(160)]
+        kinds = (AccessType.IFETCH, AccessType.LOAD, AccessType.STORE)
+        trace = Trace()
+        for _ in range(length):
+            address = (rng.choice(pool) if rng.random() < 0.9
+                       else rng.getrandbits(30))
+            trace.append(MemoryAccess(address, rng.choice(kinds),
+                                      pid=rng.choice((1, 2))))
+        return trace
+
+    def config(self, l1_placement="random_modulo", l2_placement="hashrp",
+               l1_replacement="lru", l2_replacement="lru"):
+        return HierarchyConfig(
+            l1_geometry=self.L1, l2_geometry=self.L2,
+            l1_placement=l1_placement, l2_placement=l2_placement,
+            l1_replacement=l1_replacement, l2_replacement=l2_replacement,
+        )
+
+    def replay(self, config, trace, runs, label):
+        """(vector latencies, scalar latencies, lanes the batch used)."""
+        from repro.kernels import replay
+
+        batch = replay.VectorHierarchyBatch(config, runs)
+        scalar = []
+        for run in range(runs):
+            hierarchy = CacheHierarchy(config)
+            for pid in (1, 2):
+                seed = stable_seed(label, run, pid)
+                hierarchy.set_seeds(seed, pid=pid)
+                batch.set_seeds(run, seed, pid=pid)
+            scalar.append(hierarchy.run_trace(trace))
+        widths = []
+        level_hits = replay.level_hits
+
+        def spy(runs, *args, **kwargs):
+            widths.append(int(runs.max()) + 1)
+            return level_hits(runs, *args, **kwargs)
+
+        replay.level_hits = spy
+        try:
+            vector = batch.run_trace(trace)
+        finally:
+            replay.level_hits = level_hits
+        return vector.tolist(), scalar, max(widths, default=0)
+
+    @pytest.mark.parametrize("runs", (1, 5))
+    @pytest.mark.parametrize("l2_replacement", ("lru", "random"))
+    @pytest.mark.parametrize("l1_replacement",
+                             ("lru", "fifo", "nru", "plru", "random"))
+    def test_replacement_pairs_bit_identical(self, l1_replacement,
+                                             l2_replacement, runs):
+        label = (l1_replacement, l2_replacement, runs)
+        config = self.config(l1_replacement=l1_replacement,
+                             l2_replacement=l2_replacement)
+        vector, scalar, lanes = self.replay(
+            config, self.trace(stable_seed(*label)), runs, label
+        )
+        assert vector == scalar
+        assert lanes == runs  # seeded random layouts differ per run
+
+    @pytest.mark.parametrize("replacement", ("lru", "random"))
+    def test_modulo_layout_collapses_to_one_run(self, replacement):
+        config = self.config("modulo", "modulo", replacement, replacement)
+        vector, scalar, lanes = self.replay(
+            config, self.trace(11), 5, ("modulo", replacement)
+        )
+        assert vector == scalar
+        assert lanes == 1
+
+    @pytest.mark.parametrize("l1_placement, l2_placement", [
+        ("modulo", "hashrp"), ("random_modulo", "modulo"),
+    ])
+    def test_one_run_invariant_level_does_not_collapse(self, l1_placement,
+                                                       l2_placement):
+        config = self.config(l1_placement, l2_placement, "random", "lru")
+        vector, scalar, lanes = self.replay(
+            config, self.trace(12), 5, (l1_placement, l2_placement)
+        )
+        assert vector == scalar
+        assert lanes == 5
+
+    @pytest.mark.parametrize("runs", (1, 5))
+    def test_empty_trace(self, runs):
+        vector, scalar, _ = self.replay(self.config(), Trace(), runs, "empty")
+        assert vector == scalar == [0] * runs
